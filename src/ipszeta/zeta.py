@@ -18,6 +18,7 @@ from .errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
 from .operators import (
     LocalOperator,
     _sweep_2d,
+    _sweep_table,
     apply_matrix_free,
     build_global_recursive,
     qca_rotation_local,
@@ -39,12 +40,15 @@ def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
     return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
 
 
-def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int,
-                             cap: int = TRACE_SITE_CAP, batch: int | None = None) -> np.ndarray:
-    """C_1..C_rmax with C_r = tr(Q^r)/2^n, by sweeping batches of basis columns.
+def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
+                  batch: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """tr(Q^r) and ||Q^r||_1 for r = 1..r_max, by sweeping batches of basis
+    columns.
 
-    The diagonal of each power is accumulated from matrix-free applications,
-    so no dense power is ever stored.
+    The diagonal of each power is accumulated from the swept columns, and the
+    1-norm (largest absolute column sum) is the largest column sum over all
+    batches, so no dense power is ever stored.  A table with zero imaginary
+    part keeps real columns, since their imaginary part stays zero.
     """
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
@@ -55,18 +59,30 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int,
     dim = 1 << n_sites
     if batch is None:
         batch = max(1, min(dim, (1 << 22) // dim))
-    out = np.zeros(r_max, dtype=complex)
-    if n_sites == 1:
-        out[:] = 1.0  # identity operator: tr(I)/2 = 1 for every power
-        return out
+    traces = np.zeros(r_max, dtype=complex)
+    norms = np.zeros(r_max)
+    dtype = _sweep_table(local.matrix).dtype
     for start in range(0, dim, batch):
         cols = np.arange(start, min(start + batch, dim))
-        states = np.zeros((dim, len(cols)), dtype=complex)
-        states[cols, np.arange(len(cols))] = 1.0
-        for r in range(1, r_max + 1):
+        diag = (cols, np.arange(len(cols)))
+        states = np.zeros((dim, len(cols)), dtype=dtype)
+        states[diag] = 1.0
+        for r in range(r_max):
             states = _sweep_2d(local.matrix, n_sites, states)
-            out[r - 1] += states[cols, np.arange(len(cols))].sum()
-    return out / dim
+            traces[r] += states[diag].sum()
+            norms[r] = max(norms[r], np.abs(states).sum(axis=0).max())
+    return traces, norms
+
+
+def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int,
+                             cap: int = TRACE_SITE_CAP, batch: int | None = None) -> np.ndarray:
+    """C_1..C_rmax with C_r = tr(Q^r)/2^n, by sweeping batches of basis columns.
+
+    The diagonal of each power is accumulated from matrix-free applications,
+    so no dense power is ever stored.
+    """
+    traces, _ = _trace_sweeps(local, n_sites, r_max, cap, batch)
+    return traces / (1 << n_sites)
 
 
 def c_r(local: LocalOperator, n_sites: int, r: int, cap: int = TRACE_SITE_CAP) -> complex:
@@ -76,7 +92,11 @@ def c_r(local: LocalOperator, n_sites: int, r: int, cap: int = TRACE_SITE_CAP) -
 
 def spectral_radius_estimate(local: LocalOperator, n_sites: int, steps: int = 50,
                              safety: float = 1.1, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral radius, padded by a safety factor."""
+    """Power-iteration estimate of the spectral radius, padded by a safety factor.
+
+    This is an estimate, not a bound: it can fall below the true radius, so
+    nothing that reports a bound uses it (see `zeta_log_series`).
+    """
     rng = np.random.default_rng(seed)
     dim = 1 << n_sites
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -114,11 +134,34 @@ class ZetaSeries:
         return x ** (self.r_max + 1) / ((self.r_max + 1) * (1.0 - x))
 
 
+def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
+    """Certified upper bound min_k ||Q^k||_1^(1/k) on the spectral radius,
+    from the computed 1-norms of Q, ..., Q^r_max.
+
+    Each computed norm is raised by its first-order rounding allowance.  The
+    sweep of a column through k(n-1) pair products of at most four terms errs
+    by at most 8 eps per product relative to |Q|^k, and || |Q|^k ||_1 <=
+    ||Q||_1^k; the computed ||Q||_1 itself is accurate, since every entry of
+    Q is a single product of table entries.  A column sum of 2^n terms errs
+    by at most 2^n eps relative.  n = 1 gives 1.
+    """
+    if n_sites == 1:
+        return 1.0
+    eps = np.finfo(float).eps
+    k = np.arange(1, len(norms) + 1)
+    grow = 1.0 + ((1 << n_sites) + n_sites) * eps
+    with np.errstate(over="ignore"):
+        padded = norms * grow + 8 * eps * k * (n_sites - 1) * (norms[0] * grow) ** k
+    return max(float((padded ** (1.0 / k)).min()), 1e-12)
+
+
 def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int,
                     cap: int = TRACE_SITE_CAP) -> ZetaSeries:
-    coeffs = power_trace_coefficients(local, n_sites, r_max, cap=cap)
-    rho = spectral_radius_estimate(local, n_sites)
-    return ZetaSeries(n_sites, r_max, coeffs, 1.0 / rho)
+    """Log-zeta series to order r_max; its radius hint is 1/rho-hat with
+    rho-hat >= rho certified from the norms ||Q^k||_1 the sweeps produce."""
+    traces, norms = _trace_sweeps(local, n_sites, r_max, cap, None)
+    rho = _spectral_radius_bound(norms, n_sites)
+    return ZetaSeries(n_sites, r_max, traces / (1 << n_sites), 1.0 / rho)
 
 
 def zeta_det(local: LocalOperator, n_sites: int, u: complex,

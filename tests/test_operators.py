@@ -202,6 +202,37 @@ def test_matrix_free_matches_dense(rng):
             assert np.abs(got - d @ v).max() < 1e-11 * max(1.0, np.abs(d @ v).max())
 
 
+def kernel_tables(rng):
+    """One table of each kind the sweep kernel treats differently: real
+    entries stored as complex (DK), the real unitary rotation, complex."""
+    return (dk_local_operator(DKParams(0.45, 0.8)), qca_rotation_local(0.9),
+            random_local_operator("general", rng))
+
+
+def test_matrix_free_matches_oracle_per_table_kind(rng):
+    tables = kernel_tables(rng)
+    for n in range(1, 9):
+        for loc in tables:
+            v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            want = oracle_global(loc, n) @ v
+            got = apply_matrix_free(loc, n, v)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_matrix_free_result_is_new_complex_array(rng):
+    for loc in kernel_tables(rng):
+        for n in (1, 2, 5):
+            w = rng.standard_normal(2 << n) + 1j * rng.standard_normal(2 << n)
+            keep = w.copy()
+            for v in (w[::2], w[: 1 << n], w[: 1 << n].real):
+                out = apply_matrix_free(loc, n, v)
+                assert out.dtype == np.complex128
+                assert out is not v and not np.shares_memory(out, w)
+                want = oracle_global(loc, n) @ v
+                assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(w, keep)
+
+
 def test_matrix_free_input_checks():
     loc = identity_local()
     with pytest.raises(LengthMismatch):

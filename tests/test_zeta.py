@@ -7,6 +7,7 @@ from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import SingularFactor, SizeCapExceeded
 from ipszeta.operators import (
     build_global_kronecker,
+    build_global_recursive,
     config_bits,
     config_index,
     make_local_operator,
@@ -30,9 +31,10 @@ from conftest import oracle_c_r, oracle_global
 
 
 def test_power_traces_match_oracle(rng):
-    for fam in ("pca", "qca", "general"):
+    fixed = {"dk": dk_local_operator(DKParams(0.45, 0.8)), "rotation": qca_rotation_local(0.9)}
+    for fam in ("pca", "qca", "general", "dk", "rotation"):
         for n in (1, 2, 3, 5):
-            loc = random_local_operator(fam, rng)
+            loc = fixed[fam] if fam in fixed else random_local_operator(fam, rng)
             got = power_trace_coefficients(loc, n, 6)
             for r in range(1, 7):
                 ref = oracle_c_r(loc, n, r)
@@ -178,6 +180,20 @@ def test_truncation_bound_behavior():
     nearer = series.truncation_bound(0.8 * series.radius_hint)
     assert inside is not None and nearer is not None and inside < nearer
     assert series.truncation_bound(2.0 * series.radius_hint) is None
+
+
+def test_radius_hint_bounds_spectral_radius():
+    # The power-iteration estimate falls below rho on two of these draws (by
+    # up to 1.58x); the radius hint must never.
+    rng = np.random.default_rng(7)
+    families = ("general", "qca", "pca", "complex-stochastic")
+    for i in range(300):
+        n = 2 + i % 6
+        loc = random_local_operator(families[i % 4], rng)
+        rho = np.abs(np.linalg.eigvals(build_global_recursive(loc, n).dense)).max()
+        series = zeta_log_series(loc, n, 30)
+        assert 1.0 / series.radius_hint >= (1 - 1e-9) * rho, (i, n)
+    assert zeta_log_series(loc, 1, 5).radius_hint == 1.0
 
 
 def test_single_site_zeta_closed_form():
