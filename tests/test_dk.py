@@ -226,3 +226,26 @@ def test_scan_is_reproducible():
     a = scan_critical(1.0, grid, 80, 400, base_seed=9)
     b = scan_critical(1.0, grid, 80, 400, base_seed=9, workers=3)
     assert a == b
+
+
+# Survived counts recorded from the per-trial step loop before any rewrite.
+# Every (base_seed, trial) Philox stream is fixed, so a rewrite that keeps the
+# draw layout reproduces them exactly for any worker count.  The two non-q=1
+# cases pin the in-step draw order (low site first); trial counts above one
+# block of trials cover block boundaries.
+GOLDEN_COUNTS = [
+    ((0.7, 0.9), (0,), 60, 800, 3, 607),
+    ((0.6, 0.9), (0, 1, 2), 60, 3000, 2, 1467),
+    ((0.7, 0.9), (0, 3), 40, 300, 5, 276),
+    ((0.9, 0.3), (0, 2, 5), 50, 400, 7, 399),
+    ((0.55, 0.95), (-4, -1, 0), 120, 500, 13, 106),
+    ((0.8, 1.0), (0,), 300, 150, 0, 141),
+]
+
+
+@pytest.mark.parametrize("pq, seeds, horizon, trials, base_seed, survived", GOLDEN_COUNTS)
+def test_survival_golden_counts(pq, seeds, horizon, trials, base_seed, survived):
+    for workers in (1, 2):
+        est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
+                                base_seed=base_seed, workers=workers)
+        assert est.survived == survived
