@@ -9,21 +9,34 @@ Monte Carlo trials are embarrassingly parallel.  Trial i draws all of its
 randomness from a counter-based Philox stream keyed by (base_seed, i): at step
 t it consumes span + t uniforms for the candidate sites, low site first, so
 runs are reproducible for any worker count and prefixes agree across horizons.
+
+Trials run in blocks: a block's occupancies form one (trials, window) array
+that takes one vectorised pair update per time step, and trials that go
+extinct leave the block after each chunk of steps.  Uniforms are drawn lazily,
+one chunk of steps at a time, each live trial continuing its own stream, so
+the counts do not depend on the blocking and a trial that dies early never
+draws the uniforms it would not use.  Chunks grow with t (at most t steps from
+step t) as long as the block's draws fit in `_DRAW_BYTES`; the same budget
+sizes the blocks, so that one step of every trial in a block always fits.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoBracket, ParamOutOfRange
-from .operators import LocalOperator, make_local_operator
+from .operators import LocalOperator, _pair_update, make_local_operator
 from .spectral import SpectrumMultiset
 
 RNG_NAME = "philox4x64(key=(base_seed, trial_index))"
 _Z95 = 1.959963984540054
+# Bytes of uniforms a block of Monte Carlo trials holds at once; it also sets
+# the number of trials in a block.
+_DRAW_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,11 @@ class LatticeState:
         return not self.occupied
 
 
+def _birth_table(p: float, q: float) -> np.ndarray:
+    """Birth probability by pair index 2*left + right: f(0), f(1), f(1), f(2)."""
+    return np.array([0.0, p, p, q])
+
+
 def dk_step(state: LatticeState, params: DKParams, rng) -> LatticeState:
     """One synchronous update; the empty set is absorbing.
 
@@ -112,9 +130,7 @@ def dk_step(state: LatticeState, params: DKParams, rng) -> LatticeState:
     lo, hi = state.occupied[0] - 1, state.occupied[-1]
     occ = np.zeros(hi - lo + 2, dtype=np.uint8)
     occ[np.array(state.occupied) - lo] = 1
-    counts = occ[:-1] + occ[1:]
-    ftab = np.array([0.0, params.p, params.q])
-    keep = rng.random(len(counts)) < ftab[counts]
+    keep = _pair_update(occ, rng.random(hi - lo + 1), _birth_table(params.p, params.q))
     sites = (np.nonzero(keep)[0] + lo).tolist()
     return LatticeState(tuple(int(x) for x in sites), state.time + 1)
 
@@ -140,31 +156,47 @@ def _trial_stream(base_seed: int, trial: int):
 
 def _run_chunk(args) -> int:
     p, q, rel, span, horizon, base_seed, lo_trial, hi_trial = args
-    rel = np.asarray(rel, dtype=np.int64)
-    ftab = np.array([0.0, p, q])
-    width = horizon + span + 1  # one always-vacant pad slot on the right
-    total_draws = horizon * span + horizon * (horizon + 1) // 2
-    survived = 0
-    for trial in range(lo_trial, hi_trial):
-        rng = _trial_stream(base_seed, trial)
-        draws = rng.random(total_draws)
-        occ = np.zeros(width, dtype=np.uint8)
-        occ[horizon + rel] = 1
+    # a block holds one full-window step of each of its trials within the budget
+    block = max(1, _DRAW_BYTES // (8 * (span + horizon)))
+    buf = np.empty(max(_DRAW_BYTES // 8, span + horizon))
+    table, rel = _birth_table(p, q), np.asarray(rel, dtype=np.int64)
+    return sum(_run_block(table, rel, span, horizon, base_seed,
+                          range(lo, min(lo + block, hi_trial)), buf)
+               for lo in range(lo_trial, hi_trial, block))
+
+
+def _run_block(table, rel, span, horizon, base_seed, trials, buf) -> int:
+    """Survivors at the horizon among `trials`, stepped together.
+
+    Row i of `occ` is one trial's occupancy on the window of span + horizon
+    sites plus an always-vacant pad slot on the right; step t updates its
+    span + t candidate sites starting at horizon - t.
+    """
+    rngs = [_trial_stream(base_seed, trial) for trial in trials]
+    occ = np.zeros((len(rngs), horizon + span + 1), dtype=np.uint8)
+    occ[:, horizon + rel] = 1
+    t = 1
+    while rngs and t <= horizon:
+        # k steps from t use k*(span + t) + k(k-1)/2 uniforms a trial; take the
+        # largest k whose draws for every live trial fit in buf
+        b = 2 * (span + t) - 1
+        fit = (math.isqrt(b * b + 8 * (len(buf) // len(rngs))) - b) // 2
+        k = max(1, min(t, horizon - t + 1, fit))
+        need = k * (span + t) + k * (k - 1) // 2
+        draws = buf[:len(rngs) * need].reshape(len(rngs), need)
+        for row, rng in zip(draws, rngs):
+            rng.random(out=row)
         off = 0
-        alive = True
-        for t in range(1, horizon + 1):
-            w = span + t
-            s0 = horizon - t
-            counts = occ[s0:s0 + w] + occ[s0 + 1:s0 + w + 1]
-            new = draws[off:off + w] < ftab[counts]
+        for s in range(t, t + k):
+            w, s0 = span + s, horizon - s
+            occ[:, s0:s0 + w] = _pair_update(occ[:, s0:s0 + w + 1], draws[:, off:off + w], table)
             off += w
-            occ[s0:s0 + w] = new
-            if not new.any():
-                alive = False
-                break
-        if alive:
-            survived += 1
-    return survived
+        t += k
+        alive = occ[:, s0:s0 + w].any(axis=1)
+        if not alive.all():
+            occ = occ[alive]
+            rngs = [rng for rng, keep in zip(rngs, alive) if keep]
+    return len(rngs)
 
 
 @dataclass(frozen=True)

@@ -305,21 +305,29 @@ def apply_matrix_free(local: LocalOperator, n_sites: int, state,
 # --- sampling and random families -------------------------------------------
 
 
+def _pair_update(occ: np.ndarray, draws: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The synchronous pair update behind every lattice update.
+
+    New site x is occupied iff draws[..., x] < table[2*occ[..., x] + occ[..., x+1]],
+    with all reads from the old 0/1 occupancy `occ`, which has one more site
+    than `draws` along the last axis.  Leading axes batch independent lattices.
+    """
+    return draws < table[2 * occ[..., :-1] + occ[..., 1:]]
+
+
 def sample_pca_step(local: LocalOperator, bits, rng) -> tuple:
     """One synchronous update of the pair dynamics on the path (PCA locals).
 
     Each site x < n-1 resamples from the column (bits[x], bits[x+1]) of the
-    local operator; the last site never changes.  All reads use the old bits,
-    matching the action of the global operator on basis states.
+    local operator, drawing one uniform per site, low site first; the last
+    site never changes.  All reads use the old bits, matching the action of
+    the global operator on basis states.
     """
-    bits = tuple(bits)
-    m = local.matrix
-    out = list(bits)
-    for x in range(len(bits) - 1):
-        i, j = bits[x], bits[x + 1]
-        p_one = m[2 + j, 2 * i + j].real
-        out[x] = 1 if rng.random() < p_one else 0
-    return tuple(out)
+    bits = np.asarray(tuple(bits), dtype=np.uint8)
+    c = np.arange(4)
+    ptab = local.matrix[2 + (c & 1), c].real  # P(left site becomes 1 | pair c)
+    new = _pair_update(bits, rng.random(len(bits) - 1), ptab)
+    return tuple(new.astype(int).tolist()) + (int(bits[-1]),)
 
 
 def _haar_unitary_2(rng) -> np.ndarray:

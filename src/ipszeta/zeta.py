@@ -29,6 +29,9 @@ from .spectral import EIG_DIM_CAP, VerificationReport, eig_dense
 # basis columns is quadratic in the state size, so cap separately from the
 # matrix-free vector cap.
 TRACE_SITE_CAP = 14
+# Bytes of basis columns swept together by default, in the sweep's dtype: a
+# batch that stays near cache sweeps faster than one large pass.
+_TRACE_BATCH_BYTES = 1 << 22
 
 
 def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
@@ -41,14 +44,15 @@ def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
 
 
 def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
-                  batch: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """tr(Q^r) and ||Q^r||_1 for r = 1..r_max, by sweeping batches of basis
-    columns.
+                  batch: int | None, with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """tr(Q^r) for r = 1..r_max, and ||Q^r||_1 if `with_norms`, by sweeping
+    batches of basis columns.
 
     The diagonal of each power is accumulated from the swept columns, and the
     1-norm (largest absolute column sum) is the largest column sum over all
     batches, so no dense power is ever stored.  A table with zero imaginary
-    part keeps real columns, since their imaginary part stays zero.
+    part keeps real columns, since their imaginary part stays zero.  The
+    default batch holds `_TRACE_BATCH_BYTES` of columns.
     """
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
@@ -57,11 +61,11 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
     if r_max < 1:
         raise ParamOutOfRange("need r_max >= 1")
     dim = 1 << n_sites
-    if batch is None:
-        batch = max(1, min(dim, (1 << 22) // dim))
-    traces = np.zeros(r_max, dtype=complex)
-    norms = np.zeros(r_max)
     dtype = _sweep_table(local.matrix).dtype
+    if batch is None:
+        batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * np.dtype(dtype).itemsize)))
+    traces = np.zeros(r_max, dtype=complex)
+    norms = np.zeros(r_max) if with_norms else None
     for start in range(0, dim, batch):
         cols = np.arange(start, min(start + batch, dim))
         diag = (cols, np.arange(len(cols)))
@@ -70,7 +74,8 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
         for r in range(r_max):
             states = _sweep_2d(local.matrix, n_sites, states)
             traces[r] += states[diag].sum()
-            norms[r] = max(norms[r], np.abs(states).sum(axis=0).max())
+            if with_norms:
+                norms[r] = max(norms[r], np.abs(states).sum(axis=0).max())
     return traces, norms
 
 
@@ -81,7 +86,7 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int,
     The diagonal of each power is accumulated from matrix-free applications,
     so no dense power is ever stored.
     """
-    traces, _ = _trace_sweeps(local, n_sites, r_max, cap, batch)
+    traces, _ = _trace_sweeps(local, n_sites, r_max, cap, batch, with_norms=False)
     return traces / (1 << n_sites)
 
 
@@ -159,7 +164,7 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int,
                     cap: int = TRACE_SITE_CAP) -> ZetaSeries:
     """Log-zeta series to order r_max; its radius hint is 1/rho-hat with
     rho-hat >= rho certified from the norms ||Q^k||_1 the sweeps produce."""
-    traces, norms = _trace_sweeps(local, n_sites, r_max, cap, None)
+    traces, norms = _trace_sweeps(local, n_sites, r_max, cap, None, with_norms=True)
     rho = _spectral_radius_bound(norms, n_sites)
     return ZetaSeries(n_sites, r_max, traces / (1 << n_sites), 1.0 / rho)
 

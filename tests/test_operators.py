@@ -265,6 +265,26 @@ def test_sampler_matches_operator_columns(rng):
     assert abs(freq.sum() - 1.0) < 1e-12
 
 
+def test_sampler_matches_scalar_loop_reference():
+    # one scalar uniform per site, low site first, from the column (bits[x], bits[x+1])
+    def reference(local, bits, rng):
+        out = list(bits)
+        for x in range(len(bits) - 1):
+            i, j = bits[x], bits[x + 1]
+            out[x] = 1 if rng.random() < local.matrix[2 + j, 2 * i + j].real else 0
+        return tuple(out)
+
+    for seed in (0, 1, 2, 3):
+        loc = random_local_operator("pca", np.random.default_rng(seed))
+        start = tuple(np.random.default_rng(100 + seed).integers(0, 2, 9).tolist())
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, b = start, start
+        for _ in range(20):
+            a, b = sample_pca_step(loc, a, fast), reference(loc, b, slow)
+            assert a == b
+        assert fast.random() == slow.random()  # same number of draws consumed
+
+
 def test_qca_rotation_local_unitary():
     for xi in (0.3, 1.0, np.pi / 3):
         m = qca_rotation_local(xi).matrix

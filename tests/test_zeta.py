@@ -54,6 +54,17 @@ def test_trace_cap():
         power_trace_coefficients(loc, 15, 2)
 
 
+def test_default_trace_batch_is_byte_budget(rng):
+    # n = 11: the 4 MiB default sweeps 256 real or 128 complex columns at a time
+    n, r_max = 11, 3
+    for loc, cols in ((dk_local_operator(DKParams(0.5, 0.75)), 256),
+                      (random_local_operator("general", rng), 128)):
+        default = power_trace_coefficients(loc, n, r_max)
+        assert np.array_equal(default, power_trace_coefficients(loc, n, r_max, batch=cols))
+        other = power_trace_coefficients(loc, n, r_max, batch=1000)
+        assert np.allclose(default, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())
+
+
 def test_xor_rule_return_rates():
     # deterministic rule: new left bit = xor of the old pair
     loc = dk_local_operator(DKParams(1.0, 0.0))
