@@ -63,7 +63,7 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
     dim = 1 << n_sites
     dtype = _sweep_table(local.matrix).dtype
     if batch is None:
-        batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * np.dtype(dtype).itemsize)))
+        batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
     traces = np.zeros(r_max, dtype=complex)
     norms = np.zeros(r_max) if with_norms else None
     for start in range(0, dim, batch):
