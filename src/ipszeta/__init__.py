@@ -15,8 +15,6 @@ from .errors import (
     SparsityViolation,
 )
 from .operators import (
-    DENSE_SITE_CAP,
-    MATRIX_FREE_SITE_CAP,
     Configuration,
     GlobalOperator,
     LocalOperator,
@@ -51,7 +49,6 @@ from .spectral import (
     verify_spectral_recursion,
 )
 from .zeta import (
-    TRACE_SITE_CAP,
     BinomialWeights,
     ZetaSeries,
     c_r,

@@ -3,7 +3,8 @@
 Subcommands: op build, spectrum, zeta, verify <claim>, dk survive, dk scan.
 Outputs are deterministic for a fixed argument list (seeds default to 0 and
 metadata carries no timestamps).  Exit codes: 0 success, 1 failed claim or
-bracket, 2 usage or parameter error, 3 size cap or convergence failure.
+bracket, 2 usage or parameter error, 3 size cap (the byte budget, or the
+eigensolver cap checked before the dense build) or convergence failure.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import (
     SparsityViolation,
 )
 from .operators import (
-    DENSE_SITE_CAP,
     LocalOperator,
     build_global_kronecker,
     build_global_recursive,
@@ -51,6 +51,7 @@ from .serialize import (
 from .spectral import (
     EIG_DIM_CAP,
     VerificationReport,
+    _check_eig_dim,
     block_certificate,
     eig_dense,
     histogram,
@@ -139,14 +140,15 @@ def cmd_op_build(args, parser) -> int:
     if args.format == "json":
         _write(args.out, operator_to_json(local, n, label=label))
     else:
-        g = build_global_kronecker(local, n, cap=args.dense_cap)
+        g = build_global_kronecker(local, n)
         _write(args.out, dense_csv(g.dense, _base_meta("op build", label, n)))
     return 0
 
 
 def cmd_spectrum(args, parser) -> int:
     local, n, label = _resolve_local(args, parser)
-    g = build_global_recursive(local, n, cap=args.dense_cap)
+    _check_eig_dim(2 ** n, args.eig_cap)
+    g = build_global_recursive(local, n)
     spec = eig_dense(g.dense, max_dim=args.eig_cap)
     _write(args.out, spectrum_csv(spec, _base_meta("spectrum", label, n)))
     if args.hist:
@@ -251,6 +253,7 @@ def run_claim(args, parser) -> VerificationReport:
                 worst = float("inf")
                 details["reason"] = "column-block shifts differ; not in the t family"
                 continue
+            _check_eig_dim(2 ** n, EIG_DIM_CAP)
             levels = [build_global_recursive(loc, m).dense for m in range(1, n + 1)]
             for small, big in zip(levels, levels[1:]):
                 worst = max(worst, block_certificate(big, small, t0))
@@ -330,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_build)
     p_build.add_argument("--format", choices=("json", "csv"), default="json")
     p_build.add_argument("--out")
-    p_build.add_argument("--dense-cap", type=int, default=DENSE_SITE_CAP)
     p_build.set_defaults(func=cmd_op_build)
 
     p_spec = sub.add_parser("spectrum", help="dense spectrum and histogram export")
@@ -338,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--out")
     p_spec.add_argument("--hist", help="also write a histogram CSV to this path")
     p_spec.add_argument("--bin", type=float, default=0.05)
-    p_spec.add_argument("--dense-cap", type=int, default=DENSE_SITE_CAP)
     p_spec.add_argument("--eig-cap", type=int, default=EIG_DIM_CAP)
     p_spec.set_defaults(func=cmd_spectrum)
 

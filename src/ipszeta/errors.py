@@ -18,7 +18,7 @@ class SparsityViolation(IpsZetaError):
 
 
 class SizeCapExceeded(IpsZetaError):
-    """Requested system size is beyond the configured cap."""
+    """Requested size is beyond the byte budget or the eigensolver's cap."""
 
 
 class LengthMismatch(IpsZetaError):

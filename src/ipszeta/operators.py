@@ -27,10 +27,9 @@ from .errors import (
     SparsityViolation,
 )
 
-# Size caps.  Dense matrices are only built up to 2**14; sweep-based
-# (matrix-free) application works on vectors up to 2**26 entries.
-DENSE_SITE_CAP = 14
-MATRIX_FREE_SITE_CAP = 26
+# The one size rule: no entry point may peak above 4 GiB (a complex dense
+# operator is 16*4**n bytes).  Dense builds stop at n = 13, states at n = 26.
+_BYTE_BUDGET = 1 << 32
 
 # Entry (row, col) of the 4x4 table is allowed iff the right bits agree,
 # i.e. row % 2 == col % 2 with the pair ordering (0,0),(0,1),(1,0),(1,1).
@@ -210,39 +209,41 @@ class GlobalOperator:
         return d[:h, :h], d[:h, h:], d[h:, :h], d[h:, h:]
 
 
-def _check_sites(n: int, cap: int):
-    if n < 1:
-        raise ParamOutOfRange("need at least one site, got n=%d" % n)
-    if n > cap:
-        raise SizeCapExceeded("n=%d exceeds cap %d" % (n, cap))
+def _check_budget(n_sites: int, peak_bytes: int):
+    """Refuse n < 1, or a peak beyond the byte budget; call before allocating."""
+    if n_sites < 1:
+        raise ParamOutOfRange("need at least one site, got n=%d" % n_sites)
+    if peak_bytes > _BYTE_BUDGET:
+        raise SizeCapExceeded("n=%d needs %d bytes, beyond the size cap of %d bytes"
+                              % (n_sites, peak_bytes, _BYTE_BUDGET))
 
 
-def build_global_kronecker(local: LocalOperator, n_sites: int,
-                           cap: int = DENSE_SITE_CAP) -> GlobalOperator:
+def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator:
     """Dense global operator as the product of the Kronecker factors
     I_(2^j) (x) a (x) I_(2^(n-2-j)), factor j acting on the pair (j, j+1).
 
     The j = 0 factor is applied first.  The factors are never formed: the
     pair sweep applies them to the identity columns (real ones for a real
     table), so the build costs O(n 4^n) instead of the O(n 8^n) of
-    multiplying dense factors.
+    multiplying dense factors.  The peak is 2 complex dense operators for a
+    real table, 3 for a complex one (the identity lives through the sweep).
     """
-    _check_sites(n_sites, cap)
-    identity = np.eye(1 << n_sites, dtype=_sweep_table(local.matrix).dtype)
+    dtype = _sweep_table(local.matrix).dtype
+    _check_budget(n_sites, 16 * 4 ** n_sites * (3 if dtype.kind == "c" else 2))
+    identity = np.eye(1 << n_sites, dtype=dtype)
     dense = _sweep_2d(local.matrix, n_sites, identity).astype(complex, copy=False)
     return GlobalOperator(n_sites, local, dense)
 
 
-def build_global_recursive(local: LocalOperator, n_sites: int,
-                           cap: int = DENSE_SITE_CAP) -> GlobalOperator:
+def build_global_recursive(local: LocalOperator, n_sites: int) -> GlobalOperator:
     """Dense global operator grown one site at a time by the block recursion.
 
     Adding a site on the left multiplies (I_2 (x) Q_n) by (Q_local (x) I) and
     rearranges the quadrants E, F, G, H of Q_n into a 4x4 grid of blocks with
     local-operator coefficients; this matches the Kronecker construction
-    entrywise.
+    entrywise.  Its peak is 2.25 complex dense operators.
     """
-    _check_sites(n_sites, cap)
+    _check_budget(n_sites, 16 * 4 ** n_sites * 9 // 4)
     a = local.matrix
     cur = np.eye(2, dtype=complex)
     for _ in range(n_sites - 1):
@@ -284,15 +285,15 @@ def _sweep_2d(matrix4: np.ndarray, n_sites: int, states: np.ndarray) -> np.ndarr
     return out.view(states.dtype) if as_real else out
 
 
-def apply_matrix_free(local: LocalOperator, n_sites: int, state,
-                      cap: int = MATRIX_FREE_SITE_CAP) -> np.ndarray:
+def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
     """Apply the global operator to a state vector without building a matrix.
 
     Sweeps the local operator over the pairs (0,1), ..., (n-2,n-1) in order,
     which reproduces the dense operator's action exactly.  The result is a
-    new complex128 array; the input is never written.
+    new complex128 array; the input is never written.  The peak is 3 complex
+    states: the complex copy of a real input and two sweep buffers.
     """
-    _check_sites(n_sites, cap)
+    _check_budget(n_sites, 3 * 16 * 2 ** n_sites)
     v = np.asarray(state)
     if v.shape != (1 << n_sites,):
         raise LengthMismatch("state has shape %r, expected (%d,)" % (v.shape, 1 << n_sites))

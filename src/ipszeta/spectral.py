@@ -120,6 +120,14 @@ def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
     return worst <= tol, worst
 
 
+def _check_eig_dim(dim: int, max_dim: int):
+    """Refuse what `eig_dense` would refuse, before the matrix is built."""
+    if max_dim > EIG_DIM_HARD_CAP:
+        raise ParamOutOfRange("max_dim %d beyond hard cap %d" % (max_dim, EIG_DIM_HARD_CAP))
+    if dim > max_dim:
+        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, max_dim))
+
+
 def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
               max_dim: int = EIG_DIM_CAP, samples: int = 8) -> SpectrumMultiset:
     """Full spectrum of a dense matrix with a residual check on sampled pairs.
@@ -134,10 +142,7 @@ def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
     dim = a.shape[0]
-    if max_dim > EIG_DIM_HARD_CAP:
-        raise ParamOutOfRange("max_dim %d beyond hard cap %d" % (max_dim, EIG_DIM_HARD_CAP))
-    if dim > max_dim:
-        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, max_dim))
+    _check_eig_dim(dim, max_dim)
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -209,6 +214,7 @@ def verify_spectral_recursion(local: LocalOperator, n_sites: int, tol: float = 1
     where a Jordan block of size m scatters its eigenvalue by about eps^(1/m).
     The matched eigenvalue distance is kept in details for reference.
     """
+    _check_eig_dim(2 ** (n_sites + 1), max_dim)
     qn = build_global_recursive(local, n_sites).dense
     qn1 = build_global_recursive(local, n_sites + 1).dense
     t0, t1 = shift_coefficients(local)

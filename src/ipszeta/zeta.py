@@ -14,21 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
+from .errors import ParamOutOfRange, SingularFactor
 from .operators import (
     LocalOperator,
+    _check_budget,
     _sweep_2d,
     _sweep_table,
     apply_matrix_free,
     build_global_recursive,
     qca_rotation_local,
 )
-from .spectral import EIG_DIM_CAP, VerificationReport, eig_dense
+from .spectral import EIG_DIM_CAP, VerificationReport, _check_eig_dim, eig_dense
 
-# Traces via sweeps never materialise a matrix power; still, visiting all
-# basis columns is quadratic in the state size, so cap separately from the
-# matrix-free vector cap.
-TRACE_SITE_CAP = 14
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
 _TRACE_BATCH_BYTES = 1 << 22
@@ -43,27 +40,25 @@ def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
     return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
 
 
-def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
-                  batch: int | None, with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
+                  with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tr(Q^r) for r = 1..r_max, and ||Q^r||_1 if `with_norms`, by sweeping
     batches of basis columns.
 
     The diagonal of each power is accumulated from the swept columns, and the
     1-norm (largest absolute column sum) is the largest column sum over all
     batches, so no dense power is ever stored.  A table with zero imaginary
-    part keeps real columns, since their imaginary part stays zero.  The
-    default batch holds `_TRACE_BATCH_BYTES` of columns.
+    part keeps real columns, since their imaginary part stays zero.  A batch
+    holds `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but
+    their time grows with the 4^n entries of each power, so they are admitted
+    where the complex dense operator fits the byte budget.
     """
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
-    if n_sites > cap:
-        raise SizeCapExceeded("n=%d exceeds trace cap %d" % (n_sites, cap))
+    _check_budget(n_sites, 16 * 4 ** n_sites)
     if r_max < 1:
         raise ParamOutOfRange("need r_max >= 1")
     dim = 1 << n_sites
     dtype = _sweep_table(local.matrix).dtype
-    if batch is None:
-        batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
+    batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
     traces = np.zeros(r_max, dtype=complex)
     norms = np.zeros(r_max) if with_norms else None
     for start in range(0, dim, batch):
@@ -79,20 +74,19 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int, cap: int,
     return traces, norms
 
 
-def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int,
-                             cap: int = TRACE_SITE_CAP, batch: int | None = None) -> np.ndarray:
+def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """C_1..C_rmax with C_r = tr(Q^r)/2^n, by sweeping batches of basis columns.
 
     The diagonal of each power is accumulated from matrix-free applications,
     so no dense power is ever stored.
     """
-    traces, _ = _trace_sweeps(local, n_sites, r_max, cap, batch, with_norms=False)
+    traces, _ = _trace_sweeps(local, n_sites, r_max, with_norms=False)
     return traces / (1 << n_sites)
 
 
-def c_r(local: LocalOperator, n_sites: int, r: int, cap: int = TRACE_SITE_CAP) -> complex:
+def c_r(local: LocalOperator, n_sites: int, r: int) -> complex:
     """Normalized power trace tr(Q^r)/2^n."""
-    return complex(power_trace_coefficients(local, n_sites, r, cap=cap)[r - 1])
+    return complex(power_trace_coefficients(local, n_sites, r)[r - 1])
 
 
 def spectral_radius_estimate(local: LocalOperator, n_sites: int, steps: int = 50,
@@ -160,11 +154,10 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
     return max(float((padded ** (1.0 / k)).min()), 1e-12)
 
 
-def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int,
-                    cap: int = TRACE_SITE_CAP) -> ZetaSeries:
+def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSeries:
     """Log-zeta series to order r_max; its radius hint is 1/rho-hat with
     rho-hat >= rho certified from the norms ||Q^k||_1 the sweeps produce."""
-    traces, norms = _trace_sweeps(local, n_sites, r_max, cap, None, with_norms=True)
+    traces, norms = _trace_sweeps(local, n_sites, r_max, with_norms=True)
     rho = _spectral_radius_bound(norms, n_sites)
     return ZetaSeries(n_sites, r_max, traces / (1 << n_sites), 1.0 / rho)
 
@@ -182,6 +175,7 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex,
         w = np.array([1.0 + 0j])
         m = np.array([2])
     else:
+        _check_eig_dim(2 ** n_sites, max_dim)
         dense = build_global_recursive(local, n_sites).dense
         spec = eig_dense(dense, max_dim=max_dim)
         w, m = spec.values, spec.multiplicities

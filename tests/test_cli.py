@@ -167,6 +167,12 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["spectrum"], ["op", "build", "--format", "csv"]])
+def test_dense_n14_refused_exit_code(argv, capsys):
+    assert run(argv + ["--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "14"]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_param_error_exit_code(capsys):
     assert run(["dk", "survive", "--p", "1.5", "--q", "0.5"]) == 2
 

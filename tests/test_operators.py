@@ -23,6 +23,7 @@ from ipszeta.operators import (
     random_local_operator,
     sample_pca_step,
 )
+from ipszeta import operators, zeta
 from ipszeta.dk import DKParams, dk_local_operator
 
 from conftest import oracle_global
@@ -172,6 +173,39 @@ def test_dense_caps():
         build_global_kronecker(loc, 15)
     with pytest.raises(ParamOutOfRange):
         build_global_recursive(loc, 0)
+
+
+class _Admitted(Exception):
+    pass
+
+
+class _NoNumpy:
+    """Stands in for numpy: the first array call proves the size was admitted."""
+
+    def __getattr__(self, name):
+        raise _Admitted(name)
+
+
+def test_byte_budget_admits_largest_sizes(rng, monkeypatch):
+    dk = dk_local_operator(DKParams(0.5, 0.75))
+    general = random_local_operator("general", rng)
+    cases = [
+        (lambda n: build_global_recursive(dk, n), 13),
+        (lambda n: build_global_kronecker(dk, n), 13),
+        (lambda n: build_global_kronecker(general, n), 13),
+        (lambda n: apply_matrix_free(general, n, None), 26),
+        (lambda n: zeta.power_trace_coefficients(dk, n, 1), 14),
+        (lambda n: zeta.zeta_log_series(general, n, 1), 14),
+    ]
+    # the admitted sizes would allocate GiB; numpy is stubbed so they stop
+    # at their first array call, after the size check
+    monkeypatch.setattr(operators, "np", _NoNumpy())
+    monkeypatch.setattr(zeta, "np", _NoNumpy())
+    for call, largest in cases:
+        with pytest.raises(_Admitted):
+            call(largest)
+        with pytest.raises(SizeCapExceeded, match="cap"):
+            call(largest + 1)
 
 
 def test_blocks_layout(rng):

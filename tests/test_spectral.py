@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
 from ipszeta.errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from ipszeta.operators import (
@@ -20,7 +23,7 @@ from ipszeta.spectral import (
     trace_closed_form,
     verify_spectral_recursion,
 )
-from ipszeta.zeta import trace_path_sum
+from ipszeta.zeta import trace_path_sum, zeta_det
 
 from conftest import oracle_global
 
@@ -84,6 +87,30 @@ def test_eig_dense_residual_and_caps(rng):
         eig_dense(np.eye(8), max_dim=4)
     with pytest.raises(ParamOutOfRange):
         eig_dense(np.eye(2), max_dim=10**6)
+
+
+def test_eig_cap_refuses_before_dense_build(capsys):
+    # at n = 11 the dense operator alone is 64 MiB; each refusal must come first
+    dk = dk_local_operator(DKParams(0.3, 0.6))  # shift family, t = 0.3
+    refusals = [
+        lambda: zeta_det(dk, 11, 0.1),
+        lambda: verify_spectral_recursion(dk, 10),
+        lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "11"]),
+        lambda: main(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.6",
+                      "--n", "11"]),
+    ]
+    for refuse in refusals:
+        tracemalloc.start()
+        try:
+            try:
+                code = refuse()
+            except SizeCapExceeded:
+                code = 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 4 << 20
+    assert "eigensolver cap" in capsys.readouterr().err
 
 
 def test_eig_dense_accepts_global_operator(rng):

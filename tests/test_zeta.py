@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ipszeta import zeta
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import SingularFactor, SizeCapExceeded
 from ipszeta.operators import (
@@ -54,14 +55,17 @@ def test_trace_cap():
         power_trace_coefficients(loc, 15, 2)
 
 
-def test_default_trace_batch_is_byte_budget(rng):
+def test_default_trace_batch_is_byte_budget(rng, monkeypatch):
     # n = 11: the 4 MiB default sweeps 256 real or 128 complex columns at a time
     n, r_max = 11, 3
-    for loc, cols in ((dk_local_operator(DKParams(0.5, 0.75)), 256),
-                      (random_local_operator("general", rng), 128)):
+    for loc, cols, itemsize in ((dk_local_operator(DKParams(0.5, 0.75)), 256, 8),
+                                (random_local_operator("general", rng), 128, 16)):
         default = power_trace_coefficients(loc, n, r_max)
-        assert np.array_equal(default, power_trace_coefficients(loc, n, r_max, batch=cols))
-        other = power_trace_coefficients(loc, n, r_max, batch=1000)
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "_TRACE_BATCH_BYTES", cols * (1 << n) * itemsize)
+            assert np.array_equal(default, power_trace_coefficients(loc, n, r_max))
+            m.setattr(zeta, "_TRACE_BATCH_BYTES", 1000 * (1 << n) * itemsize)
+            other = power_trace_coefficients(loc, n, r_max)
         assert np.allclose(default, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())
 
 
