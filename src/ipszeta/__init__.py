@@ -34,10 +34,8 @@ from .operators import (
 )
 from .spectral import (
     EIG_DIM_CAP,
-    ClosedFormTrace,
     HistogramGrid,
     SpectrumMultiset,
-    VerificationReport,
     block_certificate,
     eig_dense,
     histogram,
@@ -46,21 +44,18 @@ from .spectral import (
     spec_union,
     t_case_spectrum,
     trace_closed_form,
-    verify_spectral_recursion,
 )
 from .zeta import (
-    BinomialWeights,
     ZetaSeries,
     c_r,
     power_trace_coefficients,
-    qca_rotation_check,
-    spectral_radius_estimate,
     t_case_c_r,
     t_case_log_zeta,
     trace_path_sum,
     zeta_det,
     zeta_log_series,
 )
+from .claims import CLAIMS, VerificationReport, verify_claim
 from .dk import (
     CriticalScanResult,
     DKParams,

@@ -2,9 +2,10 @@
 
 Subcommands: op build, spectrum, zeta, verify <claim>, dk survive, dk scan.
 Outputs are deterministic for a fixed argument list (seeds default to 0 and
-metadata carries no timestamps).  Exit codes: 0 success, 1 failed claim or
-bracket, 2 usage or parameter error, 3 size cap (the byte budget, or the
-eigensolver cap checked before the dense build) or convergence failure.
+metadata carries no timestamps).  Exit codes: 0 success; 1 failed claim, a
+claim given a table outside its domain (report "pass": null with a reason),
+or no bracket; 2 usage or parameter error; 3 size cap (the byte budget, or
+the eigensolver cap checked before the dense build) or convergence failure.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .claims import CLAIMS, verify_claim
 from .dk import DKParams, dk_local_operator, estimate_survival, scan_critical
 from .errors import (
     DenseUnavailable,
@@ -48,37 +50,8 @@ from .serialize import (
     survival_json,
     zeta_eval_json,
 )
-from .spectral import (
-    EIG_DIM_CAP,
-    VerificationReport,
-    _check_eig_dim,
-    block_certificate,
-    eig_dense,
-    histogram,
-    match_multisets,
-    shift_coefficients,
-    t_case_spectrum,
-    trace_closed_form,
-    verify_spectral_recursion,
-)
-from .zeta import (
-    c_r,
-    power_trace_coefficients,
-    qca_rotation_check,
-    t_case_c_r,
-    trace_path_sum,
-    zeta_det,
-    zeta_log_series,
-)
-
-CLAIMS = (
-    "build-recursion",
-    "block-sums",
-    "trace-formulas",
-    "spectral-recursion",
-    "t-family",
-    "qca-rotation",
-)
+from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense, histogram
+from .zeta import zeta_log_series
 
 
 def _parse_complex(text: str) -> complex:
@@ -173,108 +146,24 @@ def cmd_zeta(args, parser) -> int:
     return 0
 
 
-def _random_locals(args, rng):
-    for _ in range(args.trials):
-        yield random_local_operator(args.random, rng)
-
-
-def _verify_targets(args, parser):
-    if args.random:
-        rng = np.random.default_rng(args.seed)
-        return list(_random_locals(args, rng)), "random-%s" % args.random
-    local, n, label = _resolve_local(args, parser)
-    args.n = n
-    return [local], label
-
-
-def _rel(diff: float, scale: float) -> float:
-    return diff / max(1.0, scale)
-
-
-def run_claim(args, parser) -> VerificationReport:
-    claim = args.claim
-    tol = args.tol
-    if claim == "qca-rotation":
-        if args.xi is None:
-            parser.error("qca-rotation needs --xi")
-        report = qca_rotation_check(args.xi, args.n, args.rmax,
-                                    tol=tol if tol is not None else 1e-9)
-        return report
-    locals_, label = _verify_targets(args, parser)
-    n = args.n
-    worst = 0.0
-    details: dict = {"family": label, "count": len(locals_), "seed": args.seed}
-    if claim == "build-recursion":
-        tol = tol if tol is not None else 1e-12
-        for loc in locals_:
-            a = build_global_kronecker(loc, n).dense
-            b = build_global_recursive(loc, n).dense
-            worst = max(worst, _rel(float(np.abs(a - b).max()), float(np.abs(a).max())))
-    elif claim == "block-sums":
-        tol = tol if tol is not None else 1e-12
-        if n < 2:
-            parser.error("block-sums needs --n >= 2")
-        for loc in locals_:
-            g = build_global_recursive(loc, n)
-            prev = build_global_recursive(loc, n - 1).dense
-            e, f, gg, h = g.blocks()
-            scale = float(np.abs(prev).max())
-            worst = max(worst,
-                        _rel(float(np.abs(e + gg - prev).max()), scale),
-                        _rel(float(np.abs(f + h - prev).max()), scale))
-    elif claim == "trace-formulas":
-        tol = tol if tol is not None else 1e-10
-        for loc in locals_:
-            tr_path = trace_path_sum(loc, n)
-            tr_closed = trace_closed_form(loc, n)
-            tr_sweep = c_r(loc, n, 1) * (1 << n)
-            scale = abs(tr_sweep)
-            worst = max(worst, _rel(abs(tr_path - tr_sweep), scale),
-                        _rel(abs(tr_closed - tr_sweep), scale))
-    elif claim == "spectral-recursion":
-        tol = tol if tol is not None else 1e-7
-        dists = []
-        for loc in locals_:
-            rep = verify_spectral_recursion(loc, n, tol=tol)
-            worst = max(worst, rep.worst_residual)
-            dists.append(rep.details["eigenvalue_distance"])
-        if dists:
-            details["eigenvalue_distance"] = max(dists)
-    elif claim == "t-family":
-        # Decided by the block certificate at every size 2..n: with Q_1 = I it
-        # proves both closed forms exactly.  The eigenvalue distance and the
-        # coefficient error are float64 evaluations of the same claim, which
-        # defective spectra and transient growth of Q^r can swamp.
-        tol = tol if tol is not None else 1e-7
-        dists, errs = [], []
-        for loc in locals_:
-            t0, t1 = shift_coefficients(loc)
-            if abs(t0 - t1) > 1e-9:
-                worst = float("inf")
-                details["reason"] = "column-block shifts differ; not in the t family"
-                continue
-            _check_eig_dim(2 ** n, EIG_DIM_CAP)
-            levels = [build_global_recursive(loc, m).dense for m in range(1, n + 1)]
-            for small, big in zip(levels, levels[1:]):
-                worst = max(worst, block_certificate(big, small, t0))
-            dists.append(match_multisets(eig_dense(levels[-1]), t_case_spectrum(t0, n), tol)[1])
-            coeffs = power_trace_coefficients(loc, n, args.rmax)
-            errs.append(max(abs(coeffs[r - 1] - t_case_c_r(t0, n, r))
-                            for r in range(1, args.rmax + 1)))
-        if dists:
-            details["eigenvalue_distance"] = max(dists)
-            details["coefficient_error"] = max(errs)
-    else:
-        parser.error("unknown claim %r" % claim)
-    return VerificationReport(claim=claim, n_sites=n, tol=tol,
-                              passed=worst <= tol, worst_residual=worst, details=details)
-
-
 def cmd_verify(args, parser) -> int:
-    report = run_claim(args, parser)
-    _write(args.out, report_json(report, _base_meta("verify %s" % args.claim,
-                                                    report.details.get("family", args.claim),
-                                                    report.n_sites, args.seed)))
+    if args.random:
+        if args.n is None:
+            parser.error("--n is required")
+        if args.trials < 1:
+            parser.error("--trials must be at least 1")
+        rng = np.random.default_rng(args.seed)
+        tables = [random_local_operator(args.random, rng) for _ in range(args.trials)]
+        n, label = args.n, "random-%s" % args.random
+    else:
+        if args.claim == "qca-rotation" and args.model is None:
+            args.model = "qca"
+        local, n, label = _resolve_local(args, parser)
+        tables = [local]
+    report = verify_claim(args.claim, tables, n, tol=args.tol, r_max=args.rmax)
+    report.details = {"family": label, "seed": args.seed, **report.details}
+    _write(args.out, report_json(report, _base_meta("verify %s" % args.claim, label, n,
+                                                    args.seed)))
     return 0 if report.passed else 1
 
 

@@ -1,5 +1,5 @@
 """Spectra of global operators: dense eigensolves, multiset bookkeeping,
-recursion checks, closed-form traces and eigenvalue histograms.
+the one-site block certificate, closed-form traces and eigenvalue histograms.
 
 Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons and
 unions use greedy nearest-neighbour matching at an explicit tolerance, since
@@ -9,13 +9,13 @@ solver as small clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
-from .operators import GlobalOperator, LocalOperator, build_global_recursive
+from .operators import GlobalOperator, LocalOperator
 
 EIG_DIM_CAP = 1 << 10
 EIG_DIM_HARD_CAP = 1 << 12
@@ -163,23 +163,19 @@ def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
     return SpectrumMultiset.from_eigenvalues(w, cluster_tol)
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of a named numerical claim check."""
-
-    claim: str
-    n_sites: int
-    tol: float
-    passed: bool
-    worst_residual: float
-    details: dict = field(default_factory=dict)
-
-
 def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
     """The per-column-block shifts a[(1,0)][(1,0)] - a[(1,0)][(0,0)] and
     a[(1,1)][(1,1)] - a[(1,1)][(0,1)] that drive the spectral recursion."""
     a = local.matrix
     return complex(a[2, 2] - a[2, 0]), complex(a[3, 3] - a[3, 1])
+
+
+def _quadrant_sums(q_big: np.ndarray):
+    """E+G, F+H and H-G of the quadrants (E, F, G, H) of a dense operator."""
+    h = q_big.shape[0] // 2
+    e, f = q_big[:h, :h], q_big[:h, h:]
+    g, hh = q_big[h:, :h], q_big[h:, h:]
+    return e + g, f + hh, hh - g
 
 
 def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
@@ -192,46 +188,11 @@ def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     diagonal of D (or one scalar).  Returns the largest entry of
     |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|).
     """
-    h = q_small.shape[0]
-    e, f = q_big[:h, :h], q_big[:h, h:]
-    g, hh = q_big[h:, :h], q_big[h:, h:]
+    eg, fh, hg = _quadrant_sums(q_big)
     scale = max(1.0, float(np.abs(q_small).max()))
-    return max(float(np.abs(e + g - q_small).max()),
-               float(np.abs(f + hh - q_small).max()),
-               float(np.abs(hh - g - q_small * d).max())) / scale
-
-
-def verify_spectral_recursion(local: LocalOperator, n_sites: int, tol: float = 1e-7,
-                              max_dim: int = EIG_DIM_CAP) -> VerificationReport:
-    """Check that growing the system by one site splits the spectrum as
-    Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D), where D carries the two
-    column-block shifts on the halves of the index space.
-
-    The identity holds whenever the local operator's columns each sum to 1
-    (stochastic-type weights).  It is decided by `block_certificate`, whose
-    relative residual is the report's worst_residual: matching the computed
-    eigenvalues one by one is ill-posed when the spectra are (near-)defective,
-    where a Jordan block of size m scatters its eigenvalue by about eps^(1/m).
-    The matched eigenvalue distance is kept in details for reference.
-    """
-    _check_eig_dim(2 ** (n_sites + 1), max_dim)
-    qn = build_global_recursive(local, n_sites).dense
-    qn1 = build_global_recursive(local, n_sites + 1).dense
-    t0, t1 = shift_coefficients(local)
-    half = 1 << (n_sites - 1)
-    d = np.concatenate([np.full(half, t0), np.full(half, t1)])
-    residual = block_certificate(qn1, qn, d)
-    lhs = eig_dense(qn1, max_dim=max_dim)
-    rhs = spec_union(eig_dense(qn, max_dim=max_dim), eig_dense(qn * d, max_dim=max_dim), tol=0.0)
-    _, distance = match_multisets(lhs, rhs, tol)
-    return VerificationReport(
-        claim="spectral-recursion",
-        n_sites=n_sites,
-        tol=tol,
-        passed=residual <= tol,
-        worst_residual=residual,
-        details={"shifts": [t0, t1], "eigenvalue_distance": distance},
-    )
+    return max(float(np.abs(eg - q_small).max()),
+               float(np.abs(fh - q_small).max()),
+               float(np.abs(hg - q_small * d).max())) / scale
 
 
 def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:
@@ -302,48 +263,26 @@ def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
 # --- closed-form trace ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedFormTrace:
-    """Characteristic data of the two-term trace recursion.
-
-    x_plus and x_minus are the roots of x^2 - (a00+a11) x - (a01*a10 - a00*a11)
-    built from the four self-transition weights a_ij = a[(i,j)][(i,j)]; the
-    lambda factors weight the two root powers in the closed form.  When the
-    (0,1) self-weight vanishes or the roots collide the closed form divides by
-    ~0 and is flagged degenerate.
-    """
-
-    x_plus: complex
-    x_minus: complex
-    lambda_plus: complex
-    lambda_minus: complex
-    degenerate: bool
-
-    @classmethod
-    def from_local(cls, local: LocalOperator, guard: float = 1e-12) -> "ClosedFormTrace":
-        t = local.self_transition_table()
-        a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
-        disc = np.sqrt(complex((a00 - a11) ** 2 + 4 * a01 * a10))
-        xp = (a00 + a11 + disc) / 2
-        xm = (a00 + a11 - disc) / 2
-        lp = (a01 - a00 + xp) * (a00 + a01 - xm)
-        lm = (a01 - a00 + xm) * (a00 + a01 - xp)
-        degen = abs(a01) <= guard or abs(xp - xm) <= guard
-        return cls(complex(xp), complex(xm), complex(lp), complex(lm), degen)
-
-
 def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
     """Trace of the n-site global operator from the two characteristic roots.
 
-    Falls back to the transfer-table path sum when the closed form is
-    degenerate (vanishing (0,1) self-weight or coincident roots).
+    x_plus and x_minus are the roots of x^2 - (a00+a11) x - (a01*a10 - a00*a11)
+    built from the four self-transition weights a_ij = a[(i,j)][(i,j)]; the
+    lambda factors weight the two root powers.  When the (0,1) self-weight
+    vanishes or the roots collide the closed form divides by ~0, and the
+    trace falls back to the transfer-table path sum.
     """
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
-    cf = ClosedFormTrace.from_local(local)
-    if cf.degenerate:
-        t = local.self_transition_table()
+    t = local.self_transition_table()
+    a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+    disc = np.sqrt(complex((a00 - a11) ** 2 + 4 * a01 * a10))
+    xp = (a00 + a11 + disc) / 2
+    xm = (a00 + a11 - disc) / 2
+    if abs(a01) <= 1e-12 or abs(xp - xm) <= 1e-12:
         return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
-    a01 = local.self_transition_table()[0, 1]
-    num = cf.x_plus ** (n_sites - 1) * cf.lambda_plus - cf.x_minus ** (n_sites - 1) * cf.lambda_minus
-    return complex(num / (a01 * (cf.x_plus - cf.x_minus)))
+    lp = complex((a01 - a00 + xp) * (a00 + a01 - xm))
+    lm = complex((a01 - a00 + xm) * (a00 + a01 - xp))
+    xp, xm = complex(xp), complex(xm)
+    num = xp ** (n_sites - 1) * lp - xm ** (n_sites - 1) * lm
+    return complex(num / (a01 * (xp - xm)))

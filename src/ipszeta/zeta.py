@@ -20,11 +20,9 @@ from .operators import (
     _check_budget,
     _sweep_2d,
     _sweep_table,
-    apply_matrix_free,
     build_global_recursive,
-    qca_rotation_local,
 )
-from .spectral import EIG_DIM_CAP, VerificationReport, _check_eig_dim, eig_dense
+from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
@@ -87,27 +85,6 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> 
 def c_r(local: LocalOperator, n_sites: int, r: int) -> complex:
     """Normalized power trace tr(Q^r)/2^n."""
     return complex(power_trace_coefficients(local, n_sites, r)[r - 1])
-
-
-def spectral_radius_estimate(local: LocalOperator, n_sites: int, steps: int = 50,
-                             safety: float = 1.1, seed: int = 0) -> float:
-    """Power-iteration estimate of the spectral radius, padded by a safety factor.
-
-    This is an estimate, not a bound: it can fall below the true radius, so
-    nothing that reports a bound uses it (see `zeta_log_series`).
-    """
-    rng = np.random.default_rng(seed)
-    dim = 1 << n_sites
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    rate = 0.0
-    for _ in range(steps):
-        w = apply_matrix_free(local, n_sites, v)
-        rate = float(np.linalg.norm(w))
-        if rate == 0.0:
-            break
-        v = w / rate
-    return max(rate * safety, 1e-12)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,25 +170,6 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex,
 # --- closed forms on the shift-t family -------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BinomialWeights:
-    """Symmetric binomial weights P(X_n = k) = C(n,k)/2^n."""
-
-    n: int
-    weights: np.ndarray
-
-    @classmethod
-    def for_n(cls, n: int) -> "BinomialWeights":
-        if n < 0:
-            raise ParamOutOfRange("need n >= 0")
-        w = np.array([math.comb(n, k) for k in range(n + 1)], dtype=float) / (1 << n)
-        return cls(n, w)
-
-    def signed_support(self) -> np.ndarray:
-        """Values 2k - n of the centred walk variable."""
-        return 2 * np.arange(self.n + 1) - self.n
-
-
 def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
     """Closed-form coefficient ((1 + t^r)/2)^(n-1) on the shift-t family."""
     if n_sites < 1 or r < 1:
@@ -223,28 +181,11 @@ def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
     """log zeta on the shift-t family: a binomial average of -log(1 - t^k u)."""
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
-    bw = BinomialWeights.for_n(n_sites - 1)
+    weights = np.array([math.comb(n_sites - 1, k) for k in range(n_sites)],
+                       dtype=float) / (1 << (n_sites - 1))
     u = complex(u)
     powers = np.array([1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)])
     factors = 1.0 - powers * u
     if np.any(np.abs(factors) < 1e-15):
         raise SingularFactor("1 - t^k u vanishes at u = %r" % (u,))
-    return complex(-np.sum(bw.weights * np.log(factors)))
-
-
-def qca_rotation_check(xi: float, n_sites: int, r_max: int,
-                       tol: float = 1e-9) -> VerificationReport:
-    """Verify C_r = (cos r*xi)^(n-1) for the rotation-type unitary operator."""
-    local = qca_rotation_local(xi)
-    coeffs = power_trace_coefficients(local, n_sites, r_max)
-    r = np.arange(1, r_max + 1)
-    expected = np.cos(r * xi) ** (n_sites - 1) + 0j
-    worst = float(np.abs(coeffs - expected).max())
-    return VerificationReport(
-        claim="qca-rotation",
-        n_sites=n_sites,
-        tol=tol,
-        passed=worst <= tol,
-        worst_residual=worst,
-        details={"xi": xi, "r_max": r_max},
-    )
+    return complex(-np.sum(weights * np.log(factors)))

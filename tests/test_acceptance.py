@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from ipszeta.claims import verify_claim
 from ipszeta.dk import (
     DKParams,
     dk_entries,
@@ -36,7 +37,6 @@ from ipszeta.spectral import (
     shift_coefficients,
     t_case_spectrum,
     trace_closed_form,
-    verify_spectral_recursion,
 )
 from ipszeta.zeta import (
     power_trace_coefficients,
@@ -167,11 +167,11 @@ def test_c05_spectral_recursion_all_classes():
     In-domain draws: ca and pca as `random_local_operator` draws them; qca
     from unitary tables U_l = P+ + exp(i phi_l) P- in each column block;
     general from the complex-stochastic family.  Each draw must classify as
-    its class.  A case passes on the block certificate of
-    `verify_spectral_recursion`; the matched eigenvalue distance it reports
+    its class.  A case passes on the block certificate of the registry's
+    spectral-recursion claim; the matched eigenvalue distance it reports
     must also stay within the tolerance.  Haar-qca and Gaussian-general draws
-    have no unit column sums and serve as negative controls: every one of
-    them must fail.
+    have no unit column sums and serve as negative controls: the certificate
+    residual of every one of them must exceed the tolerance.
     """
     t0 = time.perf_counter()
     bad = []
@@ -192,7 +192,7 @@ def test_c05_spectral_recursion_all_classes():
             if kind != fam:
                 bad.append("class %s: in-domain draw classifies as %s" % (fam, kind))
             for n in (1, 2, 3):
-                rep = verify_spectral_recursion(loc, n, tol=1e-7)
+                rep = verify_claim("spectral-recursion", [loc], n, tol=1e-7)
                 if not rep.passed:
                     failed += 1
                     worst = max(worst, rep.worst_residual)
@@ -207,7 +207,8 @@ def test_c05_spectral_recursion_all_classes():
         for _ in range(50):
             loc = random_local_operator(fam, rng)
             for n in (1, 2, 3):
-                passed += verify_spectral_recursion(loc, n, tol=1e-7).passed
+                rep = verify_claim("spectral-recursion", [loc], n, tol=1e-7)
+                passed += rep.worst_residual <= 1e-7
         if passed:
             bad.append("control %s: %d/150 size cases pass outside the domain"
                        % (fam, passed))

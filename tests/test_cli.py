@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,14 +100,69 @@ def test_verify_pass_and_fail(tmp_path):
     assert blob["pass"] is True and blob["worst_residual"] < 1e-12
 
     assert run(["verify", "block-sums", "--random", "qca",
+                "--trials", "3", "--n", "3", "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["pass"] is True
+
+    # Haar unitaries lack unit column sums: out of the recursion's domain
+    assert run(["verify", "spectral-recursion", "--random", "qca",
                 "--trials", "3", "--n", "3", "--out", str(out)]) == 1
     blob = json.loads(out.read_text())
-    assert blob["pass"] is False
+    assert blob["pass"] is None
 
     assert run(["verify", "spectral-recursion", "--random", "pca",
                 "--trials", "5", "--n", "3", "--out", str(out)]) == 0
     assert run(["verify", "qca-rotation", "--xi", "0.7", "--n", "4",
                 "--rmax", "10", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("family", ["general", "qca"])
+def test_verify_block_sums_general_form(family, tmp_path):
+    # E+G = Q_{n-1} D_0 and F+H = Q_{n-1} D_1 hold for every table
+    out = tmp_path / "r.json"
+    assert run(["verify", "block-sums", "--random", family, "--trials", "5", "--n", "3",
+                "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["pass"] is True and blob["worst_residual"] <= 1e-12
+    assert blob["details"]["domain"] == "every table"
+    assert len(blob["details"]["cases"]) == 5
+
+
+def test_verify_out_of_domain_reports_null(tmp_path):
+    out = tmp_path / "r.json"
+    assert run(["verify", "spectral-recursion", "--random", "general", "--trials", "5",
+                "--n", "3", "--out", str(out)]) == 1
+    blob = json.loads(out.read_text())
+    assert blob["pass"] is None
+    assert blob["details"]["reason"].startswith("out of domain")
+    cases = blob["details"]["cases"]
+    assert len(cases) == 5
+    assert all(not c["in_domain"] and c["residual"] > 1e-7 for c in cases)
+
+
+def test_readme_verify_commands_pass(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [l for l in readme.read_text().splitlines() if l.startswith("ipszeta verify ")]
+    assert len(lines) >= 6
+    for line in lines:
+        argv = shlex.split(line)[1:] + ["--out", str(tmp_path / "r.json")]
+        assert run(argv) == 0, line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "block-sums", "--random", "pca", "--trials", "2"],
+    ["verify", "qca-rotation", "--xi", "0.7"],
+])
+def test_verify_missing_n_is_usage_error(argv):
+    with pytest.raises(SystemExit) as ei:
+        run(argv)
+    assert ei.value.code == 2
+
+
+def test_verify_zero_trials_is_usage_error():
+    with pytest.raises(SystemExit) as ei:
+        run(["verify", "build-recursion", "--random", "pca", "--trials", "0", "--n", "3"])
+    assert ei.value.code == 2
 
 
 def test_verify_t_family_rejects_unequal_shifts(tmp_path):
@@ -114,7 +171,7 @@ def test_verify_t_family_rejects_unequal_shifts(tmp_path):
               "--n", "3", "--out", str(out)])
     assert rc == 1
     blob = json.loads(out.read_text())
-    assert blob["pass"] is False
+    assert blob["pass"] is None
     assert "reason" in blob["details"]
 
 
@@ -145,7 +202,7 @@ def test_verify_t_family_rejects_equal_shifts_without_unit_sums(tmp_path):
               "--out", str(out)])
     assert rc == 1
     blob = json.loads(out.read_text())
-    assert "reason" not in blob["details"]
+    assert "reason" in blob["details"]
     assert blob["worst_residual"] > 0.1
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ipszeta.claims import verify_claim
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
 from ipszeta.errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
@@ -21,7 +22,6 @@ from ipszeta.spectral import (
     spec_union,
     t_case_spectrum,
     trace_closed_form,
-    verify_spectral_recursion,
 )
 from ipszeta.zeta import trace_path_sum, zeta_det
 
@@ -94,7 +94,7 @@ def test_eig_cap_refuses_before_dense_build(capsys):
     dk = dk_local_operator(DKParams(0.3, 0.6))  # shift family, t = 0.3
     refusals = [
         lambda: zeta_det(dk, 11, 0.1),
-        lambda: verify_spectral_recursion(dk, 10),
+        lambda: verify_claim("spectral-recursion", [dk], 10),
         lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "11"]),
         lambda: main(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.6",
                       "--n", "11"]),
@@ -169,7 +169,7 @@ def test_spectral_recursion_stochastic_classes(rng):
         for _ in range(10):
             loc = random_local_operator(fam, rng)
             for n in (1, 2, 3):
-                rep = verify_spectral_recursion(loc, n, tol=1e-7)
+                rep = verify_claim("spectral-recursion", [loc], n, tol=1e-7)
                 assert rep.passed, (fam, n, rep.worst_residual)
 
 
@@ -179,7 +179,7 @@ def test_spectral_recursion_near_defective_pca():
     rng = np.random.default_rng(0)
     for _ in range(22):
         loc = random_local_operator("pca", rng)
-    rep = verify_spectral_recursion(loc, 3, tol=1e-7)
+    rep = verify_claim("spectral-recursion", [loc], 3, tol=1e-7)
     assert rep.passed
     assert rep.worst_residual < 1e-14
     assert "eigenvalue_distance" in rep.details
@@ -202,8 +202,8 @@ def test_block_certificate_shift_family():
 def test_spectral_recursion_unitary_counterexample(rng):
     # the multiset identity needs unit column sums; rotations break it
     loc = qca_rotation_local(0.9)
-    rep = verify_spectral_recursion(loc, 2, tol=1e-7)
-    assert not rep.passed
+    rep = verify_claim("spectral-recursion", [loc], 2, tol=1e-7)
+    assert rep.passed is None
     assert rep.worst_residual > 0.1
 
 
@@ -266,8 +266,12 @@ def test_histogram_closed_upper_edge():
 
 def test_verification_report_fields(rng):
     loc = random_local_operator("pca", rng)
-    rep = verify_spectral_recursion(loc, 2, tol=1e-7)
+    rep = verify_claim("spectral-recursion", [loc], 2, tol=1e-7)
     assert rep.claim == "spectral-recursion"
     assert rep.n_sites == 2
     assert rep.tol == 1e-7
     assert rep.worst_residual >= 0.0
+    assert rep.details["domain"] == "unit column sums"
+    assert rep.details["cases"] == [{"residual": rep.worst_residual, "in_domain": True}]
+    with pytest.raises(ParamOutOfRange):
+        verify_claim("spectral-recursion", [], 2)

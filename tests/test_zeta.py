@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ipszeta import zeta
+from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import SingularFactor, SizeCapExceeded
 from ipszeta.operators import (
@@ -16,11 +17,8 @@ from ipszeta.operators import (
     random_local_operator,
 )
 from ipszeta.zeta import (
-    BinomialWeights,
     c_r,
     power_trace_coefficients,
-    qca_rotation_check,
-    spectral_radius_estimate,
     t_case_c_r,
     t_case_log_zeta,
     trace_path_sum,
@@ -225,26 +223,10 @@ def test_zeta_det_singular_guard():
         zeta_det(loc, 3, 1.0)
 
 
-def test_binomial_weights():
-    w = BinomialWeights.for_n(5)
-    assert abs(sum(w.weights) - 1.0) < 1e-14
-    for k, wk in enumerate(w.weights):
-        assert wk == pytest.approx(math.comb(5, k) / 32)
-    assert list(w.signed_support()) == [2 * k - 5 for k in range(6)]
-
-
 def test_qca_rotation_coefficients_and_report():
-    rep = qca_rotation_check(0.7, 5, 25, tol=1e-9)
+    rep = verify_claim("qca-rotation", [qca_rotation_local(0.7)], 5, tol=1e-9, r_max=25)
     assert rep.passed
     assert rep.worst_residual < 1e-12
     loc = qca_rotation_local(0.7)
     for r in (1, 3, 10):
         assert abs(c_r(loc, 3, r) - np.cos(0.7 * r) ** 2) < 1e-12
-
-
-def test_spectral_radius_estimate_sane():
-    loc = dk_local_operator(DKParams(0.6, 0.9))
-    g = build_global_kronecker(loc, 4).dense
-    true_rho = np.abs(np.linalg.eigvals(g)).max()
-    est = spectral_radius_estimate(loc, 4)
-    assert 0.5 * true_rho <= est <= 2.0 * true_rho
