@@ -223,16 +223,25 @@ def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator
     I_(2^j) (x) a (x) I_(2^(n-2-j)), factor j acting on the pair (j, j+1).
 
     The j = 0 factor is applied first.  The factors are never formed: the
-    pair sweep applies them to the identity columns (real ones for a real
-    table), so the build costs O(n 4^n) instead of the O(n 8^n) of
-    multiplying dense factors.  The peak is 2 complex dense operators for a
-    real table, 3 for a complex one (the identity lives through the sweep).
+    product is grown one site at a time, P_0 = a and
+    P_j = (I_(2^j) (x) a) (P_(j-1) (x) I_2), the left factor applied by the
+    pair sweep's step in real arithmetic for a real table.  The build costs
+    O(4^n) instead of the O(n 8^n) of multiplying dense factors.  The peak
+    is 1.5 complex dense operators for a real table, 2.25 for a complex one
+    (the last step holds P_(n-3), P_(n-3) (x) I_2 and the product).
     """
-    dtype = _sweep_table(local.matrix).dtype
-    _check_budget(n_sites, 16 * 4 ** n_sites * (3 if dtype.kind == "c" else 2))
-    identity = np.eye(1 << n_sites, dtype=dtype)
-    dense = _sweep_2d(local.matrix, n_sites, identity).astype(complex, copy=False)
-    return GlobalOperator(n_sites, local, dense)
+    a = _sweep_table(local.matrix)
+    _check_budget(n_sites, 16 * 4 ** n_sites * (9 if a.dtype.kind == "c" else 6) // 4)
+    if n_sites == 1:
+        return GlobalOperator(1, local, np.eye(2, dtype=complex))
+    p = a
+    for j in range(1, n_sites - 1):
+        m = p.shape[0]
+        x = np.zeros((m, 2, m, 2), dtype=a.dtype)
+        x[:, 0, :, 0] = x[:, 1, :, 1] = p
+        p = np.matmul(a, x.reshape(1 << j, 4, -1)).reshape(2 * m, 2 * m)
+        del x
+    return GlobalOperator(n_sites, local, p.astype(complex))
 
 
 def build_global_recursive(local: LocalOperator, n_sites: int) -> GlobalOperator:

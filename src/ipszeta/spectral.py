@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
-from .operators import GlobalOperator, LocalOperator
+from .operators import GlobalOperator, LocalOperator, _sweep_table
 
 EIG_DIM_CAP = 1 << 10
 EIG_DIM_HARD_CAP = 1 << 12
@@ -45,23 +45,30 @@ class SpectrumMultiset:
 
     @classmethod
     def from_eigenvalues(cls, eigs, cluster_tol: float) -> "SpectrumMultiset":
-        """Cluster raw eigenvalues within cluster_tol into (value, count) pairs."""
+        """Cluster raw eigenvalues within cluster_tol into (value, count) pairs.
+
+        Greedy in (real, imag) order: each value joins the cluster whose
+        running mean is nearest, if within cluster_tol, else starts one.
+        """
         eigs = np.asarray(eigs, dtype=complex).ravel()
         order = np.lexsort((eigs.imag, eigs.real))
-        sums: list[complex] = []
-        counts: list[int] = []
+        sums = np.empty(len(eigs), dtype=complex)
+        counts = np.zeros(len(eigs), dtype=np.int64)
+        means = np.empty(len(eigs), dtype=complex)
+        k = 0
         for z in eigs[order]:
-            if sums:
-                reps = np.array(sums) / np.array(counts)
-                j = int(np.abs(reps - z).argmin())
-                if abs(reps[j] - z) <= cluster_tol:
+            if k:
+                d = np.abs(means[:k] - z)
+                j = int(d.argmin())
+                if d[j] <= cluster_tol:
                     sums[j] += z
                     counts[j] += 1
+                    means[j:j + 1] = sums[j:j + 1] / counts[j:j + 1]
                     continue
-            sums.append(z)
-            counts.append(1)
-        vals = np.array(sums) / np.array(counts)
-        return cls(vals, np.array(counts), len(eigs))
+            sums[k] = means[k] = z
+            counts[k] = 1
+            k += 1
+        return cls(means[:k], counts[:k], len(eigs))
 
     @classmethod
     def from_pairs(cls, values, multiplicities, source_dim: int) -> "SpectrumMultiset":
@@ -91,17 +98,19 @@ class SpectrumMultiset:
 
 def spec_union(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> SpectrumMultiset:
     """Multiset union: multiplicities of values matching within tol are added."""
-    vals = list(a.values)
-    mults = list(a.multiplicities)
+    k = len(a.values)
+    vals = np.concatenate([a.values, np.empty(len(b.values), dtype=complex)])
+    mults = np.concatenate([a.multiplicities, np.zeros(len(b.values), dtype=np.int64)])
     for v, m in zip(b.values, b.multiplicities):
-        d = np.abs(np.array(vals) - v)
-        j = int(d.argmin())
-        if d[j] <= tol:
-            mults[j] += int(m)
-        else:
-            vals.append(complex(v))
-            mults.append(int(m))
-    return SpectrumMultiset(np.array(vals), np.array(mults), a.source_dim + b.source_dim)
+        if k:
+            d = np.abs(vals[:k] - v)
+            j = int(d.argmin())
+            if d[j] <= tol:
+                mults[j] += m
+                continue
+        vals[k], mults[k] = v, m
+        k += 1
+    return SpectrumMultiset(vals[:k], mults[:k], a.source_dim + b.source_dim)
 
 
 def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
@@ -132,31 +141,38 @@ def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
               max_dim: int = EIG_DIM_CAP, samples: int = 8) -> SpectrumMultiset:
     """Full spectrum of a dense matrix with a residual check on sampled pairs.
 
+    A matrix whose imaginary part is exactly zero is solved in real
+    arithmetic, so its spectrum is exactly closed under conjugation.
     Clusters repeated eigenvalues at cluster_tol (default 1e-6 * max(1, rho)).
     Raises SizeCapExceeded above max_dim and NoConvergence if the solver fails
     or a sampled eigenpair misses the residual bound tol * ||A||.
     """
     if isinstance(matrix, GlobalOperator):
         matrix = matrix.dense
-    a = np.asarray(matrix, dtype=complex)
+    a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
     dim = a.shape[0]
     _check_eig_dim(dim, max_dim)
+    if np.iscomplexobj(a):
+        a = _sweep_table(a.astype(complex, copy=False))
+    else:
+        a = a.astype(np.float64, copy=False)
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("dense eigensolver failed: %s" % exc) from exc
     norm = float(np.linalg.norm(a))
-    if norm > 0:
+    if norm > 0 and samples > 0:
         picked = np.argsort(-np.abs(w))[: min(samples, dim)]
-        for j in picked:
-            res = float(np.linalg.norm(a @ v[:, j] - w[j] * v[:, j]))
-            if res > tol * norm:
-                raise NoConvergence(
-                    "eigenpair residual %.3e exceeds %.3e for eigenvalue %r"
-                    % (res, tol * norm, w[j])
-                )
+        vp = v[:, picked]
+        res = np.linalg.norm(a @ vp - vp * w[picked], axis=0)
+        j = int(res.argmax())
+        if res[j] > tol * norm:
+            raise NoConvergence(
+                "eigenpair residual %.3e exceeds %.3e for eigenvalue %r"
+                % (res[j], tol * norm, w[picked[j]])
+            )
     if cluster_tol is None:
         rho = float(np.abs(w).max()) if dim else 0.0
         cluster_tol = 1e-6 * max(1.0, rho)
@@ -235,29 +251,19 @@ class HistogramGrid:
         return int(self.counts.sum()) + self.overflow
 
 
-def _bin_index(v: float, low: float, high: float, bin_size: float, n_bins: int):
-    if v < low or v > high:
-        return None
-    i = int((v - low) / bin_size)
-    return min(i, n_bins - 1)
-
-
 def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
     """Histogram of a spectrum over the square [-1,1]^2 in the complex plane."""
     if bin_size <= 0:
         raise ParamOutOfRange("bin_size must be positive")
     low, high = -1.0, 1.0
     n_bins = int(np.ceil((high - low) / bin_size - 1e-9))
+    re, im = spec.values.real, spec.values.imag
+    inside = (re >= low) & (re <= high) & (im >= low) & (im <= high)
+    ix, iy = (np.minimum(((x[inside] - low) / bin_size).astype(np.int64), n_bins - 1)
+              for x in (re, im))
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)
-    overflow = 0
-    for v, m in zip(spec.values, spec.multiplicities):
-        ix = _bin_index(v.real, low, high, bin_size, n_bins)
-        iy = _bin_index(v.imag, low, high, bin_size, n_bins)
-        if ix is None or iy is None:
-            overflow += int(m)
-        else:
-            counts[ix, iy] += int(m)
-    return HistogramGrid(bin_size, counts, overflow)
+    np.add.at(counts, (ix, iy), spec.multiplicities[inside])
+    return HistogramGrid(bin_size, counts, int(spec.multiplicities[~inside].sum()))
 
 
 # --- closed-form trace ------------------------------------------------------

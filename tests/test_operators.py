@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,32 @@ def kernel_tables(rng):
     entries stored as complex (DK), the real unitary rotation, complex."""
     return (dk_local_operator(DKParams(0.45, 0.8)), qca_rotation_local(0.9),
             random_local_operator("general", rng))
+
+
+def test_kronecker_build_matches_identity_sweep(rng):
+    # the site-by-site product against the previous builder, the pair sweep
+    # applied to the identity columns (real ones for a real table)
+    for loc in kernel_tables(rng):
+        a = operators._sweep_table(loc.matrix)
+        for n in range(1, 11):
+            want = operators._sweep_2d(loc.matrix, n, np.eye(1 << n, dtype=a.dtype))
+            got = build_global_kronecker(loc, n).dense
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, want), (loc.label, n)
+
+
+def test_kronecker_build_peak_within_budget_charge(rng):
+    # the budget charges 1.5 complex dense operators for a real table, 2.25
+    # for a complex one; the traced peak must not exceed the charge
+    n = 9
+    for loc, charge in zip(kernel_tables(rng), (1.5, 1.5, 2.25)):
+        tracemalloc.start()
+        try:
+            build_global_kronecker(loc, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge * 16 * 4 ** n + (64 << 10), (loc.label, peak)
 
 
 def test_matrix_free_matches_oracle_per_table_kind(rng):

@@ -12,6 +12,7 @@ from ipszeta.operators import (
     qca_rotation_local,
     random_local_operator,
 )
+from ipszeta.spectral import HistogramGrid
 from ipszeta.spectral import (
     SpectrumMultiset,
     block_certificate,
@@ -275,3 +276,145 @@ def test_verification_report_fields(rng):
     assert rep.details["cases"] == [{"residual": rep.worst_residual, "in_domain": True}]
     with pytest.raises(ParamOutOfRange):
         verify_claim("spectral-recursion", [], 2)
+
+
+# --- the real solve and the one-pass bookkeeping ----------------------------
+
+
+def real_tables(rng):
+    return {"dk": dk_local_operator(DKParams(0.5, 0.75)),
+            "bond": dk_local_operator(DKParams.bond_percolation(0.6)),
+            "pca": random_local_operator("pca", rng)}
+
+
+def conjugate(spec):
+    return SpectrumMultiset(spec.values.conj(), spec.multiplicities, spec.source_dim)
+
+
+def test_eig_dense_real_tables_conjugation_closed(rng):
+    for key, loc in real_tables(rng).items():
+        for n in range(2, 8):
+            q = build_global_recursive(loc, n).dense
+            spec = eig_dense(q)
+            assert match_multisets(spec, conjugate(spec), 0.0)[0], (key, n)
+            w = np.linalg.eigvals(q.astype(np.complex128))
+            if n <= 4:
+                ref = SpectrumMultiset.from_eigenvalues(w, 1e-6)
+                ok, dist = match_multisets(spec, ref, 1e-8)
+                assert ok, (key, n, dist)
+            # beyond n = 4 defective clusters scatter as eps^(1/m) in either
+            # solver; their power sums stay sharp
+            for r in range(1, 9):
+                assert abs(spec.moment(r) - np.sum(w ** r)) <= 1e-12 * (1 << n), (key, n, r)
+
+
+def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
+    q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 4).dense
+    seen = []
+    true_eig = np.linalg.eig
+
+    def perturbed(a):
+        seen.append(a.dtype)
+        w, v = true_eig(a)
+        return w, v + 1e-3
+    monkeypatch.setattr(np.linalg, "eig", perturbed)
+    with pytest.raises(NoConvergence, match="residual"):
+        eig_dense(q)
+    assert seen == [np.float64]
+
+
+def old_from_eigenvalues(eigs, cluster_tol):
+    eigs = np.asarray(eigs, dtype=complex).ravel()
+    order = np.lexsort((eigs.imag, eigs.real))
+    sums, counts = [], []
+    for z in eigs[order]:
+        if sums:
+            reps = np.array(sums) / np.array(counts)
+            j = int(np.abs(reps - z).argmin())
+            if abs(reps[j] - z) <= cluster_tol:
+                sums[j] += z
+                counts[j] += 1
+                continue
+        sums.append(z)
+        counts.append(1)
+    return SpectrumMultiset(np.array(sums) / np.array(counts), np.array(counts), len(eigs))
+
+
+def old_spec_union(a, b, tol):
+    vals, mults = list(a.values), list(a.multiplicities)
+    for v, m in zip(b.values, b.multiplicities):
+        d = np.abs(np.array(vals) - v)
+        j = int(d.argmin())
+        if d[j] <= tol:
+            mults[j] += int(m)
+        else:
+            vals.append(complex(v))
+            mults.append(int(m))
+    return SpectrumMultiset(np.array(vals), np.array(mults), a.source_dim + b.source_dim)
+
+
+def old_histogram(spec, bin_size):
+    low, high = -1.0, 1.0
+    n_bins = int(np.ceil((high - low) / bin_size - 1e-9))
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
+    overflow = 0
+
+    def index(v):
+        return None if v < low or v > high else min(int((v - low) / bin_size), n_bins - 1)
+    for v, m in zip(spec.values, spec.multiplicities):
+        ix, iy = index(v.real), index(v.imag)
+        if ix is None or iy is None:
+            overflow += int(m)
+        else:
+            counts[ix, iy] += int(m)
+    return HistogramGrid(bin_size, counts, overflow)
+
+
+def same_multiset(a, b):
+    return (a.values.tobytes() == b.values.tobytes()
+            and np.array_equal(a.multiplicities, b.multiplicities)
+            and a.source_dim == b.source_dim)
+
+
+def hard_eigenvalues(rng, tol):
+    """Exact repeats, conjugate pairs, values tol apart and values
+    equidistant from two clusters, on top of a defective DK spectrum.  With
+    a power-of-two tol the offsets from 0.5 and 0.25+0.5j are exact."""
+    q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 6).dense
+    w = np.linalg.eigvals(q)
+    z = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+    ties = [0.5, 0.5 + tol, 0.5 + 2 * tol, 0.5 - tol, 0.25 + 0.5j, 0.25 + 0.5j + tol * 1j,
+            0.3, 0.3 + 2 * tol, 0.3 + tol, 0.3 + tol * (1 + 1e-12), 0.3 + tol * (1 - 1e-12)]
+    return np.concatenate([w, w[:10], z, z.conj(), z[:5], ties, np.conj(ties)])
+
+
+def test_from_eigenvalues_matches_per_value_loop(rng):
+    for tol in (1e-6, 2.0 ** -20, 2.0 ** -10, 0.0625):
+        eigs = hard_eigenvalues(rng, tol)
+        for sample in (eigs, rng.permutation(eigs), eigs[:1], eigs[:0]):
+            got = SpectrumMultiset.from_eigenvalues(sample, tol)
+            assert same_multiset(got, old_from_eigenvalues(sample, tol)), tol
+
+
+def test_spec_union_matches_per_value_loop(rng):
+    for tol in (0.0, 1e-6, 2.0 ** -20, 2.0 ** -10, 0.0625):
+        eigs = hard_eigenvalues(rng, max(tol, 1e-6))
+        a = SpectrumMultiset.from_eigenvalues(eigs[::2], 1e-6)
+        b = SpectrumMultiset.from_eigenvalues(eigs[1::2], 1e-6)
+        for x, y in ((a, b), (b, a), (a, a), (a, mk([(0.5, 1)]))):
+            assert same_multiset(spec_union(x, y, tol), old_spec_union(x, y, tol)), tol
+
+
+def test_histogram_matches_per_value_loop(rng):
+    edges = np.round(np.arange(-1.0, 1.0001, 0.05), 12)
+    points = [complex(x, y) for x in edges for y in (-1.0, 0.0, 0.05, 1.0)]
+    points += [1.0 + 1e-16j, complex(np.nextafter(1.0, 2.0), 0.0),
+               complex(0.0, np.nextafter(-1.0, -2.0)), 1.5 - 2j]
+    eigs = np.concatenate([points, hard_eigenvalues(rng, 1e-6),
+                           rng.uniform(-1.2, 1.2, 200) + 1j * rng.uniform(-1.2, 1.2, 200)])
+    mults = rng.integers(1, 4, len(eigs))
+    spec = SpectrumMultiset(eigs, mults, int(mults.sum()))
+    for bin_size in (0.05, 0.3, 0.07, 2.0, 5.0):
+        got, want = histogram(spec, bin_size), old_histogram(spec, bin_size)
+        assert np.array_equal(got.counts, want.counts), bin_size
+        assert got.overflow == want.overflow and got.total == spec.total
