@@ -165,8 +165,10 @@ def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
     norm = float(np.linalg.norm(a))
     if norm > 0 and samples > 0:
         picked = np.argsort(-np.abs(w))[: min(samples, dim)]
-        vp = v[:, picked]
-        res = np.linalg.norm(a @ vp - vp * w[picked], axis=0)
+        vp = np.ascontiguousarray(v[:, picked])
+        # a real matrix acts on the interleaved float64 view: no complex copy of it
+        av = (a @ vp.view(np.float64)).view(vp.dtype) if np.isrealobj(a) else a @ vp
+        res = np.linalg.norm(av - vp * w[picked], axis=0)
         j = int(res.argmax())
         if res[j] > tol * norm:
             raise NoConvergence(
