@@ -12,8 +12,8 @@ from ipszeta.operators import (
     qca_rotation_local,
     random_local_operator,
 )
-from ipszeta.spectral import HistogramGrid
 from ipszeta.spectral import (
+    HistogramGrid,
     SpectrumMultiset,
     block_certificate,
     eig_dense,
