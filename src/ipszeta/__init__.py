@@ -4,7 +4,6 @@ interacting particle systems, with a Domany-Kinzel Monte Carlo lane."""
 __version__ = "0.1.0"
 
 from .errors import (
-    DenseUnavailable,
     IpsZetaError,
     LengthMismatch,
     NoBracket,
@@ -44,6 +43,7 @@ from .spectral import (
     spec_union,
     t_case_spectrum,
     trace_closed_form,
+    trace_path_sum,
 )
 from .zeta import (
     ZetaSeries,
@@ -51,7 +51,6 @@ from .zeta import (
     power_trace_coefficients,
     t_case_c_r,
     t_case_log_zeta,
-    trace_path_sum,
     zeta_det,
     zeta_log_series,
 )

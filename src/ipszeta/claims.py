@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .operators import (
     LocalOperator,
+    _recursion_step,
     build_global_kronecker,
     build_global_recursive,
     qca_rotation_local,
@@ -34,8 +35,9 @@ from .spectral import (
     spec_union,
     t_case_spectrum,
     trace_closed_form,
+    trace_path_sum,
 )
-from .zeta import c_r, power_trace_coefficients, t_case_c_r, trace_path_sum
+from .zeta import c_r, power_trace_coefficients, t_case_c_r
 
 # How far a table may sit from a domain's defining equalities (unit column
 # sums, equal shifts, the rotation form) and still count as inside it.
@@ -101,7 +103,7 @@ def _rotation(local: LocalOperator) -> bool:
 def _check_build(local: LocalOperator, n_sites: int, r_max: int):
     """Kronecker against recursive build, relative to max(1, max|Q|).  The
     difference is formed in place, so the peak is the recursive build's
-    2.25 dense operators plus the Kronecker result."""
+    1.25 dense operators plus the Kronecker result."""
     a = build_global_kronecker(local, n_sites).dense
     scale = max(1.0, float(np.abs(a).max()))
     a -= build_global_recursive(local, n_sites).dense
@@ -115,7 +117,7 @@ def _check_block_sums(local: LocalOperator, n_sites: int, r_max: int):
     if n_sites < 2:
         raise ParamOutOfRange("block-sums needs n >= 2")
     prev = build_global_recursive(local, n_sites - 1).dense
-    eg, fh, _ = _quadrant_sums(build_global_recursive(local, n_sites).dense)
+    eg, fh, _ = _quadrant_sums(_recursion_step(local, prev))
     sums = local.column_sums()
     half = 1 << (n_sites - 2)
     pairs = [(eg, prev * np.repeat(sums[:2], half)), (fh, prev * np.repeat(sums[2:], half))]
@@ -145,7 +147,7 @@ def _check_spectral_recursion(local: LocalOperator, n_sites: int, r_max: int):
     """
     _check_eig_dim(2 ** (n_sites + 1), EIG_DIM_CAP)
     qn = build_global_recursive(local, n_sites).dense
-    qn1 = build_global_recursive(local, n_sites + 1).dense
+    qn1 = _recursion_step(local, qn)
     d = np.repeat(shift_coefficients(local), 1 << (n_sites - 1))
     lhs = eig_dense(qn1)
     rhs = spec_union(eig_dense(qn), eig_dense(qn * d), tol=0.0)
@@ -160,7 +162,9 @@ def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
     swamp."""
     t = shift_coefficients(local)[0]
     _check_eig_dim(2 ** n_sites, EIG_DIM_CAP)
-    levels = [build_global_recursive(local, m).dense for m in range(1, n_sites + 1)]
+    levels = [build_global_recursive(local, 1).dense]
+    for _ in range(n_sites - 1):
+        levels.append(_recursion_step(local, levels[-1]))
     residual = max((block_certificate(big, small, t)
                     for small, big in zip(levels, levels[1:])), default=0.0)
     distance = match_multisets(eig_dense(levels[-1]), t_case_spectrum(t, n_sites), 0.0)[1]

@@ -21,7 +21,6 @@ from . import __version__
 from .claims import CLAIMS, verify_claim
 from .dk import DKParams, dk_local_operator, estimate_survival, scan_critical
 from .errors import (
-    DenseUnavailable,
     LengthMismatch,
     NoBracket,
     NoConvergence,
@@ -134,14 +133,13 @@ def cmd_zeta(args, parser) -> int:
     local, n, label = _resolve_local(args, parser)
     meta = _base_meta("zeta", label, n)
     meta["r_max"] = args.rmax
+    series = zeta_log_series(local, n, args.rmax)
     if args.u is not None:
         u = _parse_complex(args.u)
-        series = zeta_log_series(local, n, args.rmax)
         log_z = series.evaluate(u)
         _write(args.out, zeta_eval_json(n, u, log_z, np.exp(log_z),
                                         series.truncation_bound(u), meta))
     else:
-        series = zeta_log_series(local, n, args.rmax)
         _write(args.out, coefficients_csv(series.coefficients, meta))
     return 0
 
@@ -293,7 +291,7 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except (ParamOutOfRange, SparsityViolation, LengthMismatch,
-            SingularFactor, DenseUnavailable, ValueError) as exc:
+            SingularFactor, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -25,10 +25,6 @@ class LengthMismatch(IpsZetaError):
     """A state vector does not have length 2**n."""
 
 
-class DenseUnavailable(IpsZetaError):
-    """A dense matrix was requested from an operator built without one."""
-
-
 class NoConvergence(IpsZetaError):
     """The eigensolver failed to converge or missed its residual contract."""
 

@@ -20,6 +20,11 @@ from .operators import GlobalOperator, LocalOperator, _sweep_table
 EIG_DIM_CAP = 1 << 10
 EIG_DIM_HARD_CAP = 1 << 12
 
+# eig_dense's fixed residual check and clustering, described in its docstring
+_RESIDUAL_SAMPLES = 8
+_RESIDUAL_TOL = 1e-8
+_CLUSTER_REL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumMultiset:
@@ -114,7 +119,13 @@ def spec_union(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Spectrum
 
 
 def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
-    """Greedy nearest-neighbour matching; returns (matched, worst distance)."""
+    """Greedy nearest-neighbour matching; returns (matched, worst distance).
+
+    The distance comes from one greedy assignment, each value of `a` in
+    sorted order taking the nearest unused value of `b`.  It is an upper
+    bound on the best (bottleneck) assignment's distance: a pass is sound,
+    but a fail can be a false negative once clusters scatter.
+    """
     xa, xb = a.expand(), b.expand()
     if len(xa) != len(xb):
         return False, float("inf")
@@ -137,15 +148,15 @@ def _check_eig_dim(dim: int, max_dim: int):
         raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, max_dim))
 
 
-def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
-              max_dim: int = EIG_DIM_CAP, samples: int = 8) -> SpectrumMultiset:
+def eig_dense(matrix, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
     """Full spectrum of a dense matrix with a residual check on sampled pairs.
 
     A matrix whose imaginary part is exactly zero is solved in real
     arithmetic, so its spectrum is exactly closed under conjugation.
-    Clusters repeated eigenvalues at cluster_tol (default 1e-6 * max(1, rho)).
-    Raises SizeCapExceeded above max_dim and NoConvergence if the solver fails
-    or a sampled eigenpair misses the residual bound tol * ||A||.
+    Clusters repeated eigenvalues within 1e-6 * max(1, rho).  Raises
+    SizeCapExceeded above max_dim and NoConvergence if the solver fails or
+    one of the 8 largest-modulus eigenpairs misses the residual bound
+    1e-8 * ||A||_F.
     """
     if isinstance(matrix, GlobalOperator):
         matrix = matrix.dense
@@ -163,22 +174,20 @@ def eig_dense(matrix, tol: float = 1e-8, cluster_tol: float | None = None,
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("dense eigensolver failed: %s" % exc) from exc
     norm = float(np.linalg.norm(a))
-    if norm > 0 and samples > 0:
-        picked = np.argsort(-np.abs(w))[: min(samples, dim)]
+    if norm > 0:
+        picked = np.argsort(-np.abs(w))[:_RESIDUAL_SAMPLES]
         vp = np.ascontiguousarray(v[:, picked])
         # a real matrix acts on the interleaved float64 view: no complex copy of it
         av = (a @ vp.view(np.float64)).view(vp.dtype) if np.isrealobj(a) else a @ vp
         res = np.linalg.norm(av - vp * w[picked], axis=0)
         j = int(res.argmax())
-        if res[j] > tol * norm:
+        if res[j] > _RESIDUAL_TOL * norm:
             raise NoConvergence(
                 "eigenpair residual %.3e exceeds %.3e for eigenvalue %r"
-                % (res[j], tol * norm, w[picked[j]])
+                % (res[j], _RESIDUAL_TOL * norm, w[picked[j]])
             )
-    if cluster_tol is None:
-        rho = float(np.abs(w).max()) if dim else 0.0
-        cluster_tol = 1e-6 * max(1.0, rho)
-    return SpectrumMultiset.from_eigenvalues(w, cluster_tol)
+    rho = float(np.abs(w).max()) if dim else 0.0
+    return SpectrumMultiset.from_eigenvalues(w, _CLUSTER_REL * max(1.0, rho))
 
 
 def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
@@ -268,7 +277,16 @@ def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
     return HistogramGrid(bin_size, counts, int(spec.multiplicities[~inside].sum()))
 
 
-# --- closed-form trace ------------------------------------------------------
+# --- traces from the self-transition table ----------------------------------
+
+
+def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
+    """Trace of the n-site operator as the grand sum of the (n-1)-st power of
+    the 2x2 self-transition table; equals 2 at n = 1."""
+    if n_sites < 1:
+        raise ParamOutOfRange("need n_sites >= 1")
+    t = local.self_transition_table()
+    return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
 
 
 def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
@@ -288,7 +306,7 @@ def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
     xp = (a00 + a11 + disc) / 2
     xm = (a00 + a11 - disc) / 2
     if abs(a01) <= 1e-12 or abs(xp - xm) <= 1e-12:
-        return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
+        return trace_path_sum(local, n_sites)
     lp = complex((a01 - a00 + xp) * (a00 + a01 - xm))
     lm = complex((a01 - a00 + xm) * (a00 + a01 - xp))
     xp, xm = complex(xp), complex(xm)

@@ -29,15 +29,6 @@ from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense
 _TRACE_BATCH_BYTES = 1 << 22
 
 
-def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
-    """Trace of the n-site operator as the grand sum of the (n-1)-st power of
-    the 2x2 self-transition table; equals 2 at n = 1."""
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
-    t = local.self_transition_table()
-    return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
-
-
 def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
                   with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tr(Q^r) for r = 1..r_max, and ||Q^r||_1 if `with_norms`, by sweeping
@@ -139,23 +130,16 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
     return ZetaSeries(n_sites, r_max, traces / (1 << n_sites), 1.0 / rho)
 
 
-def zeta_det(local: LocalOperator, n_sites: int, u: complex,
-             max_dim: int = EIG_DIM_CAP) -> complex:
+def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
     Raises SingularFactor when some eigenvalue satisfies lambda * u = 1.  For
     |u| at or beyond the reciprocal spectral radius a value is still returned
     but the 2^n-th root branch is ambiguous; a warning is emitted.
     """
-    if n_sites == 1:
-        spec = None
-        w = np.array([1.0 + 0j])
-        m = np.array([2])
-    else:
-        _check_eig_dim(2 ** n_sites, max_dim)
-        dense = build_global_recursive(local, n_sites).dense
-        spec = eig_dense(dense, max_dim=max_dim)
-        w, m = spec.values, spec.multiplicities
+    _check_eig_dim(2 ** n_sites, EIG_DIM_CAP)
+    spec = eig_dense(build_global_recursive(local, n_sites).dense)
+    w, m = spec.values, spec.multiplicities
     u = complex(u)
     factors = 1.0 - w * u
     if np.any(np.abs(factors) < 1e-15):

@@ -37,11 +37,11 @@ from ipszeta.spectral import (
     shift_coefficients,
     t_case_spectrum,
     trace_closed_form,
+    trace_path_sum,
 )
 from ipszeta.zeta import (
     power_trace_coefficients,
     t_case_c_r,
-    trace_path_sum,
     zeta_det,
     zeta_log_series,
 )

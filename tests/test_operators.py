@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ipszeta.errors import (
-    DenseUnavailable,
     LengthMismatch,
     ParamOutOfRange,
     SizeCapExceeded,
@@ -221,13 +220,6 @@ def test_blocks_layout(rng):
     assert np.array_equal(h, d[8:, 8:])
 
 
-def test_blocks_unavailable_without_dense():
-    from ipszeta.operators import GlobalOperator
-    g = GlobalOperator(n_sites=4, local=identity_local(), dense=None)
-    with pytest.raises(DenseUnavailable):
-        g.blocks()
-
-
 def test_matrix_free_matches_dense(rng):
     for fam in FAMILIES:
         for n in (1, 2, 3, 5, 8):
@@ -257,18 +249,54 @@ def test_kronecker_build_matches_identity_sweep(rng):
             assert np.array_equal(got, want), (loc.label, n)
 
 
+def old_block_grid(local, n_sites):
+    """The previous recursive builder: a 4x4 grid of scaled quadrant copies
+    of Q_m joined by np.block, one grid per added site."""
+    a = local.matrix
+    cur = np.eye(2, dtype=complex)
+    for _ in range(n_sites - 1):
+        h = cur.shape[0] // 2
+        quad = ((cur[:h, :h], cur[:h, h:]), (cur[h:, :h], cur[h:, h:]))
+        grid = []
+        for r in range(4):
+            row = []
+            for c in range(4):
+                coeff = a[2 * (r // 2) + (c % 2), 2 * (c // 2) + (c % 2)]
+                row.append(coeff * quad[r % 2][c % 2])
+            grid.append(row)
+        cur = np.block(grid)
+    return cur
+
+
+def test_recursive_build_matches_block_grid(rng):
+    # one broadcast product per site forms each entry as the same single
+    # product of a table entry and an entry of Q_m as the grid did
+    tables = (dk_local_operator(DKParams(0.45, 0.8)), random_local_operator("general", rng),
+              random_local_operator("qca", rng))
+    for loc in tables:
+        for n in range(1, 12):
+            got = build_global_recursive(loc, n).dense
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, old_block_grid(loc, n)), (loc.label, n)
+
+
 def test_kronecker_build_peak_within_budget_charge(rng):
-    # the budget charges 1.5 complex dense operators for a real table, 2.25
-    # for a complex one; the traced peak must not exceed the charge
+    # the budget charges the Kronecker build 1.5 complex dense operators for
+    # a real table, 2.25 for a complex one, and the recursive build 1.25
+    # (Q_(n-1) and the product); the traced peak must not exceed the charge.
+    # The recursive step's broadcast product takes a fixed ufunc buffer,
+    # about 259 KiB, hence its larger allowance.
     n = 9
     for loc, charge in zip(kernel_tables(rng), (1.5, 1.5, 2.25)):
-        tracemalloc.start()
-        try:
-            build_global_kronecker(loc, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= charge * 16 * 4 ** n + (64 << 10), (loc.label, peak)
+        for build, charged, allowance in ((build_global_kronecker, charge, 64 << 10),
+                                          (build_global_recursive, 1.25, 512 << 10)):
+            tracemalloc.start()
+            try:
+                build(loc, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charged * 16 * 4 ** n + allowance, (build.__name__, loc.label, peak)
 
 
 def test_matrix_free_matches_oracle_per_table_kind(rng):

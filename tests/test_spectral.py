@@ -23,8 +23,9 @@ from ipszeta.spectral import (
     spec_union,
     t_case_spectrum,
     trace_closed_form,
+    trace_path_sum,
 )
-from ipszeta.zeta import trace_path_sum, zeta_det
+from ipszeta.zeta import zeta_det
 
 from conftest import oracle_global
 

@@ -16,12 +16,12 @@ from ipszeta.operators import (
     qca_rotation_local,
     random_local_operator,
 )
+from ipszeta.spectral import trace_path_sum
 from ipszeta.zeta import (
     c_r,
     power_trace_coefficients,
     t_case_c_r,
     t_case_log_zeta,
-    trace_path_sum,
     zeta_det,
     zeta_log_series,
 )
