@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ParamOutOfRange
 from .operators import (
     LocalOperator,
+    _check_budget,
     _recursion_step,
     build_global_kronecker,
     build_global_recursive,
@@ -113,9 +114,11 @@ def _check_build(local: LocalOperator, n_sites: int, r_max: int):
 def _check_block_sums(local: LocalOperator, n_sites: int, r_max: int):
     """E+G = Q_{n-1} D_0 and F+H = Q_{n-1} D_1, where D_i is diagonal over
     the top bit l of the (n-1)-site index with column sum 2i+l of the table;
-    with unit column sums also the literal E+G = F+H = Q_{n-1}."""
+    with unit column sums also the literal E+G = F+H = Q_{n-1}.  Charged up
+    front: Q_{n-1}, Q_n and its three quadrant sums, 2 operators of Q_n."""
     if n_sites < 2:
         raise ParamOutOfRange("block-sums needs n >= 2")
+    _check_budget(n_sites, 2 * 16 * 4 ** n_sites)
     prev = build_global_recursive(local, n_sites - 1).dense
     eg, fh, _ = _quadrant_sums(_recursion_step(local, prev))
     sums = local.column_sums()

@@ -224,7 +224,8 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["spectrum"], ["op", "build", "--format", "csv"]])
+@pytest.mark.parametrize("argv", [["spectrum"], ["op", "build", "--format", "csv"],
+                                  ["verify", "block-sums"]])
 def test_dense_n14_refused_exit_code(argv, capsys):
     assert run(argv + ["--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "14"]) == 3
     assert "cap" in capsys.readouterr().err
