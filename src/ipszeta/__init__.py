@@ -17,7 +17,6 @@ from .operators import (
     Configuration,
     GlobalOperator,
     LocalOperator,
-    OperatorClass,
     OperatorKind,
     apply_matrix_free,
     build_global_kronecker,

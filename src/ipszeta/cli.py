@@ -19,16 +19,8 @@ import numpy as np
 
 from . import __version__
 from .claims import CLAIMS, verify_claim
-from .dk import DKParams, dk_local_operator, estimate_survival, scan_critical
-from .errors import (
-    LengthMismatch,
-    NoBracket,
-    NoConvergence,
-    ParamOutOfRange,
-    SingularFactor,
-    SizeCapExceeded,
-    SparsityViolation,
-)
+from .dk import RNG_NAME, DKParams, dk_local_operator, estimate_survival, scan_critical
+from .errors import IpsZetaError, NoBracket, NoConvergence, SizeCapExceeded
 from .operators import (
     LocalOperator,
     build_global_kronecker,
@@ -51,6 +43,9 @@ from .serialize import (
 )
 from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense, histogram
 from .zeta import zeta_log_series
+
+# Exit code by error type; every other error is a usage or parameter error (2).
+_EXIT_CODES = {SizeCapExceeded: 3, NoConvergence: 3, NoBracket: 1}
 
 
 def _parse_complex(text: str) -> complex:
@@ -171,7 +166,7 @@ def cmd_dk_survive(args, parser) -> int:
     est = estimate_survival(params, seed_set, args.horizon, args.trials,
                             base_seed=args.seed, workers=args.threads)
     meta = _base_meta("dk survive", "dk(p=%g, q=%g)" % (args.p, args.q), seed=args.seed)
-    meta["rng"] = est.rng
+    meta["rng"] = RNG_NAME
     _write(args.out, survival_json(est, meta))
     return 0
 
@@ -182,12 +177,14 @@ def cmd_dk_scan(args, parser) -> int:
     else:
         if args.p_from is None or args.p_to is None:
             parser.error("give either --p-grid or --p-from/--p-to/--p-step")
+        if not args.p_step > 0:
+            parser.error("--p-step must be positive")
         grid = list(np.round(np.arange(args.p_from, args.p_to + args.p_step / 2,
                                        args.p_step), 12))
     result = scan_critical(args.q, grid, args.horizon, args.trials,
                            threshold=args.eps, base_seed=args.seed, workers=args.threads)
     meta = _base_meta("dk scan", "dk(q=%g)" % args.q, seed=args.seed)
-    meta["rng"] = result.points[0].rng
+    meta["rng"] = RNG_NAME
     meta["horizon"] = args.horizon
     meta["trials"] = args.trials
     _write(args.out, scan_csv(result, meta))
@@ -284,16 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (SizeCapExceeded, NoConvergence) as exc:
+    except (IpsZetaError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except NoBracket as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ParamOutOfRange, SparsityViolation, LengthMismatch,
-            SingularFactor, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -138,11 +138,11 @@ def dk_step(state: LatticeState, params: DKParams, rng) -> LatticeState:
 # --- survival Monte Carlo ---------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ParamOutOfRange("need at least one trial")
-    phat = successes / trials
+    phat, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom
     half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
@@ -210,7 +210,6 @@ class SurvivalEstimate:
     estimate: float
     ci: tuple[float, float]
     seed: int
-    rng: str = RNG_NAME
 
 
 def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,

@@ -36,20 +36,15 @@ _ALLOWED_MASK = np.array(
     [[(r % 2) == (c % 2) for c in range(4)] for r in range(4)], dtype=bool
 )
 
+# How far an entry may sit from the equalities that define CA, PCA and QCA.
+_CLASSIFY_TOL = 1e-10
+
 
 class OperatorKind(Enum):
     CA = "ca"
     PCA = "pca"
     QCA = "qca"
     GENERAL = "general"
-
-
-@dataclass(frozen=True)
-class OperatorClass:
-    """Result of classifying a local operator at a given tolerance."""
-
-    kind: OperatorKind
-    tol: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,18 +110,18 @@ def qca_rotation_local(xi: float) -> LocalOperator:
     return make_local_operator(m, label="qca-rotation(%g)" % xi)
 
 
-def classify(local: LocalOperator, tol: float = 1e-10) -> OperatorClass:
+def classify(local: LocalOperator) -> OperatorKind:
     """Classify a local operator as CA, PCA, QCA or GENERAL.
 
     CA: all allowed entries in {0,1}.  PCA: real entries in [0,1] with every
     column summing to 1 (transposed-stochastic).  QCA: the 4x4 table is
-    unitary.  Checks run in that order, so a deterministic rule that is also
-    stochastic (or unitary) still reports CA.
+    unitary.  Each test holds to within 1e-10.  Checks run in that order, so
+    a deterministic rule that is also stochastic (or unitary) still reports CA.
     """
-    m = local.matrix
+    m, tol = local.matrix, _CLASSIFY_TOL
     vals = m[_ALLOWED_MASK]
     if np.all(np.minimum(np.abs(vals), np.abs(vals - 1)) <= tol):
-        return OperatorClass(OperatorKind.CA, tol)
+        return OperatorKind.CA
     re, im = vals.real, vals.imag
     if (
         np.all(np.abs(im) <= tol)
@@ -134,10 +129,10 @@ def classify(local: LocalOperator, tol: float = 1e-10) -> OperatorClass:
         and np.all(re <= 1 + tol)
         and np.all(np.abs(local.column_sums() - 1) <= tol)
     ):
-        return OperatorClass(OperatorKind.PCA, tol)
+        return OperatorKind.PCA
     if np.max(np.abs(m.conj().T @ m - np.eye(4))) <= tol:
-        return OperatorClass(OperatorKind.QCA, tol)
-    return OperatorClass(OperatorKind.GENERAL, tol)
+        return OperatorKind.QCA
+    return OperatorKind.GENERAL
 
 
 # --- configurations ---------------------------------------------------------
@@ -192,7 +187,6 @@ class GlobalOperator:
     """Global operator on n sites with its dense matrix."""
 
     n_sites: int
-    local: LocalOperator
     dense: np.ndarray
 
     @property
@@ -230,7 +224,7 @@ def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator
     a = _sweep_table(local.matrix)
     _check_budget(n_sites, 16 * 4 ** n_sites * (9 if a.dtype.kind == "c" else 6) // 4)
     if n_sites == 1:
-        return GlobalOperator(1, local, np.eye(2, dtype=complex))
+        return GlobalOperator(1, np.eye(2, dtype=complex))
     p = a
     for j in range(1, n_sites - 1):
         m = p.shape[0]
@@ -238,7 +232,7 @@ def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator
         x[:, 0, :, 0] = x[:, 1, :, 1] = p
         p = np.matmul(a, x.reshape(1 << j, 4, -1)).reshape(2 * m, 2 * m)
         del x
-    return GlobalOperator(n_sites, local, p.astype(complex))
+    return GlobalOperator(n_sites, p.astype(complex))
 
 
 def _recursion_step(local: LocalOperator, q: np.ndarray) -> np.ndarray:
@@ -263,7 +257,7 @@ def build_global_recursive(local: LocalOperator, n_sites: int) -> GlobalOperator
     q = np.eye(2, dtype=complex)
     for _ in range(n_sites - 1):
         q = _recursion_step(local, q)
-    return GlobalOperator(n_sites, local, q)
+    return GlobalOperator(n_sites, q)
 
 
 def _sweep_table(matrix4: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .operators import LocalOperator, make_local_operator
+from .operators import LocalOperator, _check_budget, make_local_operator
 
 
 def _fmt(x) -> str:
@@ -45,6 +45,7 @@ def dump_json(obj: dict) -> str:
 
 
 def operator_to_json(local: LocalOperator, n_sites: int, label: str | None = None) -> str:
+    _check_budget(n_sites, 0)  # refuses n < 1; the file holds no operator
     flat = [[z.real, z.imag] for z in local.matrix.ravel()]
     return dump_json({
         "n": n_sites,
@@ -54,13 +55,19 @@ def operator_to_json(local: LocalOperator, n_sites: int, label: str | None = Non
 
 
 def operator_from_json(text: str):
-    """Returns (n_sites, local operator); validates shape and sparsity."""
+    """Returns (n_sites, local operator); validates keys, shape, n >= 1 and
+    sparsity.  Raises ValueError for a missing key or a malformed table."""
     doc = json.loads(text)
-    flat = doc["local"]["a_kl_ij"]
-    if len(flat) != 16:
-        raise ValueError("a_kl_ij needs 16 [re, im] entries, got %d" % len(flat))
-    m = np.array([complex(re, im) for re, im in flat]).reshape(4, 4)
-    return int(doc["n"]), make_local_operator(m, label=doc.get("label") or None)
+    try:
+        n_sites, flat = int(doc["n"]), doc["local"]["a_kl_ij"]
+        m = np.array([complex(re, im) for re, im in flat], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("operator JSON needs an integer \"n\" and local.a_kl_ij as "
+                         "[re, im] pairs: %s: %s" % (type(exc).__name__, exc)) from exc
+    if m.shape != (16,):
+        raise ValueError("a_kl_ij needs 16 [re, im] entries, got %d" % len(m))
+    _check_budget(n_sites, 0)
+    return n_sites, make_local_operator(m.reshape(4, 4), label=doc.get("label") or None)
 
 
 # --- CSV writers ------------------------------------------------------------
@@ -84,12 +91,10 @@ def histogram_csv(grid, meta: dict) -> str:
         "total": grid.total,
     })
     lines = meta_lines(full) + ["re_low,im_low,count"]
-    for ix in range(grid.n_bins):
-        for iy in range(grid.n_bins):
-            c = int(grid.counts[ix, iy])
-            if c:
-                lines.append("%s,%s,%d" % (_fmt(grid.low + ix * grid.bin_size),
-                                           _fmt(grid.low + iy * grid.bin_size), c))
+    # argwhere visits the nonzero bins in the C order of the nested loop
+    for ix, iy in np.argwhere(grid.counts).tolist():
+        lines.append("%s,%s,%d" % (_fmt(grid.low + ix * grid.bin_size),
+                                   _fmt(grid.low + iy * grid.bin_size), grid.counts[ix, iy]))
     return "\n".join(lines) + "\n"
 
 
@@ -141,18 +146,16 @@ def zeta_eval_json(n_sites: int, u: complex, log_zeta: complex, zeta_value: comp
     })
 
 
-def report_json(report, meta: dict | None = None) -> str:
-    doc = {
+def report_json(report, meta: dict) -> str:
+    return dump_json({
         "claim": report.claim,
         "n": report.n_sites,
         "tol": report.tol,
         "pass": report.passed,
         "worst_residual": report.worst_residual,
         "details": report.details,
-    }
-    if meta:
-        doc["meta"] = meta
-    return dump_json(doc)
+        "meta": meta,
+    })
 
 
 def survival_json(est, meta: dict) -> str:

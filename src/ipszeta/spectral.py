@@ -10,6 +10,7 @@ solver as small clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 from math import comb
 
 import numpy as np
@@ -250,8 +251,8 @@ class HistogramGrid:
     bin_size: float
     counts: np.ndarray
     overflow: int
-    low: float = -1.0
-    high: float = 1.0
+    low: ClassVar[float] = -1.0
+    high: ClassVar[float] = 1.0
 
     @property
     def n_bins(self) -> int:
@@ -266,7 +267,7 @@ def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
     """Histogram of a spectrum over the square [-1,1]^2 in the complex plane."""
     if bin_size <= 0:
         raise ParamOutOfRange("bin_size must be positive")
-    low, high = -1.0, 1.0
+    low, high = HistogramGrid.low, HistogramGrid.high
     n_bins = int(np.ceil((high - low) / bin_size - 1e-9))
     re, im = spec.values.real, spec.values.imag
     inside = (re >= low) & (re <= high) & (im >= low) & (im <= high)

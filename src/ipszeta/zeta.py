@@ -82,10 +82,12 @@ def c_r(local: LocalOperator, n_sites: int, r: int) -> complex:
 class ZetaSeries:
     """Truncated log-zeta series with a convergence-radius hint (1/rho-hat)."""
 
-    n_sites: int
-    r_max: int
     coefficients: np.ndarray
     radius_hint: float
+
+    @property
+    def r_max(self) -> int:
+        return len(self.coefficients)
 
     def evaluate(self, u: complex) -> complex:
         """log zeta at u from the truncated series."""
@@ -127,7 +129,7 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
     rho-hat >= rho certified from the norms ||Q^k||_1 the sweeps produce."""
     traces, norms = _trace_sweeps(local, n_sites, r_max, with_norms=True)
     rho = _spectral_radius_bound(norms, n_sites)
-    return ZetaSeries(n_sites, r_max, traces / (1 << n_sites), 1.0 / rho)
+    return ZetaSeries(traces / (1 << n_sites), 1.0 / rho)
 
 
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:

@@ -188,7 +188,7 @@ def test_c05_spectral_recursion_all_classes():
         worst_dist = 0.0
         for _ in range(50):
             loc = draw[fam]()
-            kind = classify(loc).kind.value
+            kind = classify(loc).value
             if kind != fam:
                 bad.append("class %s: in-domain draw classifies as %s" % (fam, kind))
             for n in (1, 2, 3):

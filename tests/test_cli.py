@@ -235,6 +235,33 @@ def test_param_error_exit_code(capsys):
     assert run(["dk", "survive", "--p", "1.5", "--q", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("argv, file_text", [
+    (["dk", "scan", "--q", "1", "--p-from", "0.4", "--p-to", "0.7", "--p-step", "0"], None),
+    (["op", "build", "--model", "custom", "--file", "{missing}"], None),
+    (["op", "build", "--model", "custom", "--file", "{file}"], '{"n": 3}'),
+    (["op", "build", "--model", "custom", "--file", "{file}"],
+     '{"n": 3, "local": {"a_kl_ij": 5}}'),
+    (["op", "build", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "-1"], None),
+    (["op", "build", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "2",
+      "--out", "{missing}"], None),
+], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
+        "out-dir-missing"])
+def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
+    # inputs from outside the program are usage or parameter errors, never tracebacks
+    path = tmp_path / "op.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    argv = [a.format(file=path, missing=tmp_path / "missing-dir" / "x.csv") for a in argv]
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err or "usage:" in err
+    assert "Traceback" not in err
+
+
 def test_scan_no_bracket_exit_code(capsys):
     rc = run(["dk", "scan", "--q", "0", "--p-grid", "0.1,0.2", "--horizon", "30",
               "--trials", "100"])

@@ -63,9 +63,9 @@ def test_formal_entries_no_range_check():
 
 
 def test_classification():
-    assert classify(dk_local_operator(DKParams(0.3, 0.6))).kind is OperatorKind.PCA
-    assert classify(dk_local_operator(DKParams(1.0, 0.0))).kind is OperatorKind.CA
-    assert classify(dk_local_operator(DKParams(1.0, 1.0))).kind is OperatorKind.CA
+    assert classify(dk_local_operator(DKParams(0.3, 0.6))) is OperatorKind.PCA
+    assert classify(dk_local_operator(DKParams(1.0, 0.0))) is OperatorKind.CA
+    assert classify(dk_local_operator(DKParams(1.0, 1.0))) is OperatorKind.CA
 
 
 def test_rho_closed_form():

@@ -25,6 +25,7 @@ from ipszeta.operators import (
     sample_pca_step,
 )
 from ipszeta import operators, zeta
+from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_local_operator
 
 from conftest import oracle_global
@@ -56,20 +57,20 @@ def test_entry_accessor_and_column_sums():
 
 
 def test_classification_order():
-    assert classify(identity_local()).kind is OperatorKind.CA
-    assert classify(dk_local_operator(DKParams(1.0, 0.0))).kind is OperatorKind.CA
-    assert classify(dk_local_operator(DKParams(0.3, 0.8))).kind is OperatorKind.PCA
-    assert classify(qca_rotation_local(0.7)).kind is OperatorKind.QCA
+    assert classify(identity_local()) is OperatorKind.CA
+    assert classify(dk_local_operator(DKParams(1.0, 0.0))) is OperatorKind.CA
+    assert classify(dk_local_operator(DKParams(0.3, 0.8))) is OperatorKind.PCA
+    assert classify(qca_rotation_local(0.7)) is OperatorKind.QCA
     gen = random_local_operator("general", np.random.default_rng(0))
-    assert classify(gen).kind is OperatorKind.GENERAL
+    assert classify(gen) is OperatorKind.GENERAL
 
 
 def test_classification_random_families(rng):
     for _ in range(25):
-        assert classify(random_local_operator("pca", rng)).kind in (
+        assert classify(random_local_operator("pca", rng)) in (
             OperatorKind.CA, OperatorKind.PCA)
-        assert classify(random_local_operator("qca", rng)).kind is OperatorKind.QCA
-        assert classify(random_local_operator("ca", rng)).kind is OperatorKind.CA
+        assert classify(random_local_operator("qca", rng)) is OperatorKind.QCA
+        assert classify(random_local_operator("ca", rng)) is OperatorKind.CA
 
 
 def test_config_index_msb_first():
@@ -297,6 +298,23 @@ def test_kronecker_build_peak_within_budget_charge(rng):
             finally:
                 tracemalloc.stop()
             assert peak <= charged * 16 * 4 ** n + allowance, (build.__name__, loc.label, peak)
+
+
+@pytest.mark.parametrize("claim, charged", [("build-recursion", 2.25), ("block-sums", 2.0)])
+def test_dense_verify_whole_peak(claim, charged, rng):
+    # a whole dense verify command, not one build: build-recursion holds the
+    # Kronecker result beside the recursive build's 1.25 operators, block-sums
+    # holds Q_(n-1), Q_n and three quadrant sums.  The allowance covers the
+    # recursive step's ufunc buffer, as above.
+    n = 9
+    for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
+        tracemalloc.start()
+        try:
+            verify_claim(claim, [loc], n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged * 16 * 4 ** n + (512 << 10), (loc.label, peak)
 
 
 def test_matrix_free_matches_oracle_per_table_kind(rng):

@@ -58,6 +58,31 @@ def test_histogram_csv_meta_and_rows():
     assert sum(int(r.rsplit(",", 1)[1]) for r in body[1:]) == 3
 
 
+def nested_loop_histogram_rows(grid) -> list[str]:
+    """Reference rows: every bin visited in a Python nested loop."""
+    rows = []
+    for ix in range(grid.n_bins):
+        for iy in range(grid.n_bins):
+            c = int(grid.counts[ix, iy])
+            if c:
+                rows.append("%s,%s,%d" % (repr(grid.low + ix * grid.bin_size),
+                                          repr(grid.low + iy * grid.bin_size), c))
+    return rows
+
+
+@pytest.mark.parametrize("bin_size", [0.05, 0.01, 0.002])
+def test_histogram_csv_matches_nested_loop(bin_size, rng):
+    values = rng.uniform(-1.2, 1.2, 400) + 1j * rng.uniform(-1.2, 1.2, 400)
+    values = np.concatenate([values, [1.0, -1.0, 1j, -1 - 1j, 1 + 1j]])
+    mults = rng.integers(1, 4, len(values))
+    spec = SpectrumMultiset.from_pairs(values, mults, int(mults.sum()))
+    grid = histogram(spec, bin_size)
+    body = histogram_csv(grid, {}).strip().split("\n")
+    body = [l for l in body if not l.startswith("#")][1:]
+    assert body == nested_loop_histogram_rows(grid)
+    assert len(body) > 100
+
+
 def test_coefficients_csv():
     text = coefficients_csv(np.array([0.25, 0.5 + 0.1j]), {"n": 3})
     lines = text.strip().split("\n")
