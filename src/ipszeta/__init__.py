@@ -40,6 +40,7 @@ from .spectral import (
     match_multisets,
     shift_coefficients,
     spec_union,
+    spectrum,
     t_case_spectrum,
     trace_closed_form,
     trace_path_sum,

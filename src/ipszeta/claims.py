@@ -29,6 +29,7 @@ from .spectral import (
     EIG_DIM_CAP,
     _check_eig_dim,
     _quadrant_sums,
+    _unit_sums,
     block_certificate,
     eig_dense,
     match_multisets,
@@ -40,8 +41,9 @@ from .spectral import (
 )
 from .zeta import c_r, power_trace_coefficients, t_case_c_r
 
-# How far a table may sit from a domain's defining equalities (unit column
-# sums, equal shifts, the rotation form) and still count as inside it.
+# How far a table may sit from a domain's defining equalities (equal shifts,
+# the rotation form) and still count as inside it; unit column sums are
+# tested by `spectral._unit_sums` at the same 1e-12.
 _DOMAIN_TOL = 1e-12
 
 
@@ -78,10 +80,6 @@ class Claim:
 
 def _every_table(local: LocalOperator) -> bool:
     return True
-
-
-def _unit_sums(local: LocalOperator) -> bool:
-    return float(np.abs(local.column_sums() - 1).max()) <= _DOMAIN_TOL
 
 
 def _t_family(local: LocalOperator) -> bool:

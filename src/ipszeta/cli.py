@@ -4,8 +4,9 @@ Subcommands: op build, spectrum, zeta, verify <claim>, dk survive, dk scan.
 Outputs are deterministic for a fixed argument list (seeds default to 0 and
 metadata carries no timestamps).  Exit codes: 0 success; 1 failed claim, a
 claim given a table outside its domain (report "pass": null with a reason),
-or no bracket; 2 usage or parameter error; 3 size cap (the byte budget, or
-the eigensolver cap checked before the dense build) or convergence failure.
+or no bracket; 2 usage or parameter error; 3 size cap (the byte budget, the
+histogram grid under it, or the eigensolver cap checked before the dense
+build) or convergence failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import IpsZetaError, NoBracket, NoConvergence, SizeCapExceeded
 from .operators import (
     LocalOperator,
     build_global_kronecker,
-    build_global_recursive,
     identity_local,
     qca_rotation_local,
     random_local_operator,
@@ -41,7 +41,7 @@ from .serialize import (
     survival_json,
     zeta_eval_json,
 )
-from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense, histogram
+from .spectral import EIG_DIM_CAP, _histogram_bins, histogram, spectrum
 from .zeta import zeta_log_series
 
 # Exit code by error type; every other error is a usage or parameter error (2).
@@ -114,9 +114,9 @@ def cmd_op_build(args, parser) -> int:
 
 def cmd_spectrum(args, parser) -> int:
     local, n, label = _resolve_local(args, parser)
-    _check_eig_dim(2 ** n, args.eig_cap)
-    g = build_global_recursive(local, n)
-    spec = eig_dense(g.dense, max_dim=args.eig_cap)
+    if args.hist:
+        _histogram_bins(args.bin)
+    spec = spectrum(local, n, max_dim=args.eig_cap)
     _write(args.out, spectrum_csv(spec, _base_meta("spectrum", label, n)))
     if args.hist:
         _write(args.hist, histogram_csv(histogram(spec, args.bin),

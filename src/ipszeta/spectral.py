@@ -1,5 +1,6 @@
 """Spectra of global operators: dense eigensolves, multiset bookkeeping,
-the one-site block certificate, closed-form traces and eigenvalue histograms.
+the one-site block certificate and the block-by-block spectrum it proves,
+closed-form traces and eigenvalue histograms.
 
 Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons and
 unions use greedy nearest-neighbour matching at an explicit tolerance, since
@@ -16,7 +17,15 @@ from math import comb
 import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
-from .operators import GlobalOperator, LocalOperator, _sweep_table
+from .operators import (
+    _BYTE_BUDGET,
+    GlobalOperator,
+    LocalOperator,
+    _check_budget,
+    _recursion_step,
+    _sweep_table,
+    build_global_recursive,
+)
 
 EIG_DIM_CAP = 1 << 10
 EIG_DIM_HARD_CAP = 1 << 12
@@ -25,6 +34,10 @@ EIG_DIM_HARD_CAP = 1 << 12
 _RESIDUAL_SAMPLES = 8
 _RESIDUAL_TOL = 1e-8
 _CLUSTER_REL = 1e-6
+
+# How far column sums and block certificates may sit from exact for
+# `spectrum` to solve block by block
+_UNIT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,23 +162,15 @@ def _check_eig_dim(dim: int, max_dim: int):
         raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, max_dim))
 
 
-def eig_dense(matrix, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
-    """Full spectrum of a dense matrix with a residual check on sampled pairs.
+def _eigvals_checked(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square array after the residual check on its 8
+    largest-modulus eigenpairs; the solve behind `eig_dense` and `spectrum`.
 
-    A matrix whose imaginary part is exactly zero is solved in real
-    arithmetic, so its spectrum is exactly closed under conjugation.
-    Clusters repeated eigenvalues within 1e-6 * max(1, rho).  Raises
-    SizeCapExceeded above max_dim and NoConvergence if the solver fails or
-    one of the 8 largest-modulus eigenpairs misses the residual bound
-    1e-8 * ||A||_F.
+    An array whose imaginary part is exactly zero is solved in real
+    arithmetic, so its eigenvalues are exactly closed under conjugation.
+    Raises NoConvergence if the solver fails or a sampled pair misses the
+    residual bound 1e-8 * ||A||_F.
     """
-    if isinstance(matrix, GlobalOperator):
-        matrix = matrix.dense
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
-    dim = a.shape[0]
-    _check_eig_dim(dim, max_dim)
     if np.iscomplexobj(a):
         a = _sweep_table(a.astype(complex, copy=False))
     else:
@@ -187,8 +192,32 @@ def eig_dense(matrix, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
                 "eigenpair residual %.3e exceeds %.3e for eigenvalue %r"
                 % (res[j], _RESIDUAL_TOL * norm, w[picked[j]])
             )
-    rho = float(np.abs(w).max()) if dim else 0.0
+    return w
+
+
+def _cluster(w: np.ndarray) -> SpectrumMultiset:
+    """Eigenvalues clustered within 1e-6 * max(1, rho)."""
+    rho = float(np.abs(w).max()) if len(w) else 0.0
     return SpectrumMultiset.from_eigenvalues(w, _CLUSTER_REL * max(1.0, rho))
+
+
+def eig_dense(matrix, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
+    """Full spectrum of a dense matrix with a residual check on sampled pairs.
+
+    A matrix whose imaginary part is exactly zero is solved in real
+    arithmetic, so its spectrum is exactly closed under conjugation.
+    Clusters repeated eigenvalues within 1e-6 * max(1, rho).  Raises
+    SizeCapExceeded above max_dim and NoConvergence if the solver fails or
+    one of the 8 largest-modulus eigenpairs misses the residual bound
+    1e-8 * ||A||_F.
+    """
+    if isinstance(matrix, GlobalOperator):
+        matrix = matrix.dense
+    a = np.asarray(matrix)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
+    _check_eig_dim(a.shape[0], max_dim)
+    return _cluster(_eigvals_checked(a))
 
 
 def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
@@ -221,6 +250,52 @@ def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     return max(float(np.abs(eg - q_small).max()),
                float(np.abs(fh - q_small).max()),
                float(np.abs(hg - q_small * d).max())) / scale
+
+
+def _unit_sums(local: LocalOperator) -> bool:
+    """Every column sum within 1e-12 of 1: the spectral recursion's domain."""
+    return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
+
+
+def spectrum(local: LocalOperator, n_sites: int, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
+    """Spectrum of the n-site global operator, block by block where the
+    spectral recursion is certified.
+
+    With unit column sums (each within 1e-12) Q_1 = I_2, Q_2, ..., Q_n are
+    grown by the block recursion, and each level must pass
+    `block_certificate` within 1e-12 against D_m, the two column-block
+    shifts over the halves of Q_m.  Then Spec(Q_n) = {1, 1} united with
+    Spec(Q_m D_m) for m = 1..n-1: the largest eigensolve, which max_dim
+    caps, has dimension 2^(n-1), and the peak is 2.5 dense operators of
+    Q_n, charged before anything is built.  Any other table, or a level
+    that fails, takes the full solve
+    `eig_dense(build_global_recursive(local, n_sites).dense)`.  Every solve
+    is checked as in `eig_dense`, and the union is clustered once.
+    """
+    if _unit_sums(local):
+        _check_eig_dim(2 ** (n_sites - 1), max_dim)
+        _check_budget(n_sites, 16 * 4 ** n_sites * 5 // 2)
+        blocks = _recursion_blocks(local, n_sites)
+        if blocks is not None:
+            return _cluster(np.concatenate([np.ones(2)] + blocks))
+    _check_eig_dim(2 ** n_sites, max_dim)
+    return eig_dense(build_global_recursive(local, n_sites).dense, max_dim)
+
+
+def _recursion_blocks(local: LocalOperator, n_sites: int) -> list[np.ndarray] | None:
+    """Checked eigenvalues of Q_m D_m for m = 1..n-1, or None as soon as a
+    level's block certificate exceeds 1e-12."""
+    shifts = shift_coefficients(local)
+    q = np.eye(2, dtype=complex)
+    blocks = []
+    for m in range(1, n_sites):
+        big = _recursion_step(local, q)
+        d = np.repeat(shifts, 1 << (m - 1))
+        if block_certificate(big, q, d) > _UNIT_SUM_TOL:
+            return None
+        blocks.append(_eigvals_checked(q * d))
+        q = big
+    return blocks
 
 
 def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:
@@ -263,12 +338,23 @@ class HistogramGrid:
         return int(self.counts.sum()) + self.overflow
 
 
+def _histogram_bins(bin_size: float) -> int:
+    """Bins per axis of the histogram grid at bin_size; refuses a grid whose
+    8 * n_bins^2 bytes exceed the byte budget, before anything allocates."""
+    if not 0 < bin_size < np.inf:
+        raise ParamOutOfRange("bin_size must be positive and finite")
+    n_bins = int(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9))
+    if 8 * n_bins ** 2 > _BYTE_BUDGET:
+        raise SizeCapExceeded("bin size %r needs a %d x %d histogram grid of %d bytes, "
+                              "beyond the size cap of %d bytes"
+                              % (bin_size, n_bins, n_bins, 8 * n_bins ** 2, _BYTE_BUDGET))
+    return n_bins
+
+
 def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
     """Histogram of a spectrum over the square [-1,1]^2 in the complex plane."""
-    if bin_size <= 0:
-        raise ParamOutOfRange("bin_size must be positive")
+    n_bins = _histogram_bins(bin_size)
     low, high = HistogramGrid.low, HistogramGrid.high
-    n_bins = int(np.ceil((high - low) / bin_size - 1e-9))
     re, im = spec.values.real, spec.values.imag
     inside = (re >= low) & (re <= high) & (im >= low) & (im <= high)
     ix, iy = (np.minimum(((x[inside] - low) / bin_size).astype(np.int64), n_bins - 1)

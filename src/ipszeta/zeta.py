@@ -2,8 +2,10 @@
 
 For an n-site operator Q the function is det(I - uQ)^(-1/2^n), represented
 either by its log series sum_r C_r u^r / r with C_r = tr(Q^r)/2^n, or by the
-determinant form evaluated from the dense spectrum with per-factor principal
-logarithms.  The exponentiated series is the canonical branch.
+determinant form evaluated from the spectrum with per-factor principal
+logarithms.  With unit column sums the spectral recursion factors it as
+det(I - uQ_n) = (1-u)^2 * prod_{m<n} det(I - u Q_m D_m).  The exponentiated
+series is the canonical branch.
 """
 
 from __future__ import annotations
@@ -15,14 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamOutOfRange, SingularFactor
-from .operators import (
-    LocalOperator,
-    _check_budget,
-    _sweep_2d,
-    _sweep_table,
-    build_global_recursive,
-)
-from .spectral import EIG_DIM_CAP, _check_eig_dim, eig_dense
+from .operators import LocalOperator, _check_budget, _sweep_2d, _sweep_table
+from .spectral import spectrum
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
@@ -135,12 +131,15 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
+    The eigenvalues come from `spectral.spectrum`: for a table with unit
+    column sums whose recursion levels all certify, from the blocks of
+    det(I - uQ_n) = (1-u)^2 * prod_{m=1}^{n-1} det(I - u Q_m D_m), so the
+    eigensolver cap applies to 2^(n-1); else from the full solve of Q_n.
     Raises SingularFactor when some eigenvalue satisfies lambda * u = 1.  For
     |u| at or beyond the reciprocal spectral radius a value is still returned
     but the 2^n-th root branch is ambiguous; a warning is emitted.
     """
-    _check_eig_dim(2 ** n_sites, EIG_DIM_CAP)
-    spec = eig_dense(build_global_recursive(local, n_sites).dense)
+    spec = spectrum(local, n_sites)
     w, m = spec.values, spec.multiplicities
     u = complex(u)
     factors = 1.0 - w * u

@@ -1,5 +1,6 @@
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,25 @@ def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     assert code == 2
     assert "error:" in err or "usage:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("inf", 2)])
+def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsys):
+    # a 1e-5 bin asks for a 200000 x 200000 grid of 298 GiB, beyond the byte
+    # budget; an infinite bin leaves no bin at all.  Both are refused before
+    # the eigensolve, so no spectrum CSV is written either
+    spec, hist = tmp_path / "s.csv", tmp_path / "h.csv"
+    tracemalloc.start()
+    try:
+        code = run(["spectrum", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "3",
+                    "--bin", bin_size, "--out", str(spec), "--hist", str(hist)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == want and peak < 4 << 20
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not spec.exists() and not hist.exists()
 
 
 def test_scan_no_bracket_exit_code(capsys):

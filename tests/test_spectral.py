@@ -6,6 +6,7 @@ import pytest
 from ipszeta.claims import verify_claim
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
+from ipszeta import spectral
 from ipszeta.errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from ipszeta.operators import (
     build_global_recursive,
@@ -21,6 +22,7 @@ from ipszeta.spectral import (
     match_multisets,
     shift_coefficients,
     spec_union,
+    spectrum,
     t_case_spectrum,
     trace_closed_form,
     trace_path_sum,
@@ -92,12 +94,16 @@ def test_eig_dense_residual_and_caps(rng):
 
 
 def test_eig_cap_refuses_before_dense_build(capsys):
-    # at n = 11 the dense operator alone is 64 MiB; each refusal must come first
+    # at n = 11 the dense operator alone is 64 MiB; each refusal must come first.
+    # DK solves block by block, its largest block 2^(n-1), so it is refused at
+    # n = 12; a GENERAL table takes the full solve and is refused at n = 11.
     dk = dk_local_operator(DKParams(0.3, 0.6))  # shift family, t = 0.3
+    general = random_local_operator("general", np.random.default_rng(0))
     refusals = [
-        lambda: zeta_det(dk, 11, 0.1),
+        lambda: zeta_det(dk, 12, 0.1),
+        lambda: zeta_det(general, 11, 0.1),
         lambda: verify_claim("spectral-recursion", [dk], 10),
-        lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "11"]),
+        lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "12"]),
         lambda: main(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.6",
                       "--n", "11"]),
     ]
@@ -419,3 +425,64 @@ def test_histogram_matches_per_value_loop(rng):
         got, want = histogram(spec, bin_size), old_histogram(spec, bin_size)
         assert np.array_equal(got.counts, want.counts), bin_size
         assert got.overflow == want.overflow and got.total == spec.total
+
+
+# --- the block-by-block spectrum ---------------------------------------------
+
+
+def unit_sum_tables(rng):
+    return [dk_local_operator(DKParams(0.5, 0.75)),
+            dk_local_operator(DKParams.bond_percolation(0.6)),
+            *(random_local_operator(fam, rng) for fam in ("pca", "ca", "complex-stochastic"))]
+
+
+def test_spectrum_power_sums_match_full_solve(rng, monkeypatch):
+    # the block path never builds Q_n whole, so a call of the full build fails it
+    def refuse(*args):
+        raise AssertionError("spectrum fell back to the full solve")
+    monkeypatch.setattr(spectral, "build_global_recursive", refuse)
+    for loc in unit_sum_tables(rng):
+        for n in range(2, 9):
+            got = spectrum(loc, n)
+            want = eig_dense(build_global_recursive(loc, n).dense)
+            assert got.total == 1 << n
+            for r in range(1, 9):
+                scale = max(1.0, float(np.sum(want.multiplicities * np.abs(want.values) ** r)))
+                assert abs(got.moment(r) - want.moment(r)) <= 1e-12 * scale, (loc.label, n, r)
+
+
+def test_spectrum_single_site(rng):
+    for loc in unit_sum_tables(rng) + [random_local_operator("general", rng)]:
+        spec = spectrum(loc, 1)
+        assert spec.values.tolist() == [1.0] and spec.multiplicities.tolist() == [2]
+
+
+def test_spectrum_falls_back_bit_identical(rng):
+    # Haar-QCA and GENERAL tables fail the unit-column-sum test at once
+    for fam in ("qca", "general"):
+        for n in (2, 5, 7):
+            loc = random_local_operator(fam, rng)
+            got = spectrum(loc, n)
+            want = eig_dense(build_global_recursive(loc, n).dense)
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.multiplicities, want.multiplicities)
+
+
+def test_spectrum_shift_family_no_worse_than_full_solve():
+    # the full solve scatters the defective t^k clusters as eps^(1/m); the
+    # blocks are smaller and keep them tighter
+    loc = dk_local_operator(DKParams(0.3, 0.6))
+    for n in (6, 8, 10):
+        want = t_case_spectrum(0.3, n)
+        block = match_multisets(spectrum(loc, n), want, 0.0)[1]
+        full = match_multisets(eig_dense(build_global_recursive(loc, n).dense), want, 0.0)[1]
+        assert block <= full, (n, block, full)
+
+
+def test_spectrum_cli_n11_fits_default_cap(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "11",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().strip().split("\n")
+            if not l.startswith("#")][1:]
+    assert sum(int(m) for _, _, m in rows) == 1 << 11
