@@ -14,7 +14,6 @@ from .errors import (
     SparsityViolation,
 )
 from .operators import (
-    Configuration,
     GlobalOperator,
     LocalOperator,
     OperatorKind,
@@ -39,7 +38,6 @@ from .spectral import (
     histogram,
     match_multisets,
     shift_coefficients,
-    spec_union,
     spectrum,
     t_case_spectrum,
     trace_closed_form,

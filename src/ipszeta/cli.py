@@ -41,7 +41,7 @@ from .serialize import (
     survival_json,
     zeta_eval_json,
 )
-from .spectral import EIG_DIM_CAP, _histogram_bins, histogram, spectrum
+from .spectral import _histogram_bins, histogram, spectrum
 from .zeta import zeta_log_series
 
 # Exit code by error type; every other error is a usage or parameter error (2).
@@ -116,7 +116,7 @@ def cmd_spectrum(args, parser) -> int:
     local, n, label = _resolve_local(args, parser)
     if args.hist:
         _histogram_bins(args.bin)
-    spec = spectrum(local, n, max_dim=args.eig_cap)
+    spec = spectrum(local, n)
     _write(args.out, spectrum_csv(spec, _base_meta("spectrum", label, n)))
     if args.hist:
         _write(args.hist, histogram_csv(histogram(spec, args.bin),
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--out")
     p_spec.add_argument("--hist", help="also write a histogram CSV to this path")
     p_spec.add_argument("--bin", type=float, default=0.05)
-    p_spec.add_argument("--eig-cap", type=int, default=EIG_DIM_CAP)
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_zeta = sub.add_parser("zeta", help="power-trace coefficients or zeta value")

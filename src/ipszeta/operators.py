@@ -1,8 +1,8 @@
 """Local and global operators for nearest-neighbour interacting particle systems.
 
-Configurations live in {0,1}^n over the sites 0..n-1 of a path.  Site 0 is the
-most significant bit of a configuration's index, so for n = 3 the basis vector
-of (0,1,0) is e_2 in C^8.  A local operator is a 4x4 table of transition
+A configuration is a point of {0,1}^n over the sites 0..n-1 of a path.  Site 0
+is the most significant bit of a configuration's index, so for n = 3 the basis
+vector of (0,1,0) is e_2 in C^8.  A local operator is a 4x4 table of transition
 weights a[(k,l)][(i,j)] sending the adjacent-pair state (i,j) to (k,l); the
 right site of a pair is never changed, so every entry with j != l must vanish
 and at most 8 entries are nonzero.
@@ -152,31 +152,6 @@ def config_bits(index: int, n_sites: int) -> tuple:
     if not 0 <= index < (1 << n_sites):
         raise ValueError("index %d out of range for %d sites" % (index, n_sites))
     return tuple((index >> (n_sites - 1 - x)) & 1 for x in range(n_sites))
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """A classical configuration together with its basis index."""
-
-    n_sites: int
-    bits: tuple
-    index: int
-
-    def __post_init__(self):
-        if self.n_sites < 1 or len(self.bits) != self.n_sites:
-            raise ParamOutOfRange("inconsistent configuration")
-        if config_index(self.bits) != self.index:
-            raise ParamOutOfRange(
-                "bits %r do not match index %d" % (self.bits, self.index))
-
-    @classmethod
-    def from_bits(cls, bits) -> "Configuration":
-        bits = tuple(int(b) for b in bits)
-        return cls(len(bits), bits, config_index(bits))
-
-    @classmethod
-    def from_index(cls, index: int, n_sites: int) -> "Configuration":
-        return cls(n_sites, config_bits(index, n_sites), index)
 
 
 # --- global operators -------------------------------------------------------

@@ -2,8 +2,8 @@
 the one-site block certificate and the block-by-block spectrum it proves,
 closed-form traces and eigenvalue histograms.
 
-Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons and
-unions use greedy nearest-neighbour matching at an explicit tolerance, since
+Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons
+use greedy nearest-neighbour matching at an explicit tolerance, since
 repeated eigenvalues of these non-normal operators come back from a dense
 solver as small clusters.
 """
@@ -28,7 +28,6 @@ from .operators import (
 )
 
 EIG_DIM_CAP = 1 << 10
-EIG_DIM_HARD_CAP = 1 << 12
 
 # eig_dense's fixed residual check and clustering, described in its docstring
 _RESIDUAL_SAMPLES = 8
@@ -115,23 +114,6 @@ class SpectrumMultiset:
         return float(np.abs(self.values).max()) if len(self.values) else 0.0
 
 
-def spec_union(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> SpectrumMultiset:
-    """Multiset union: multiplicities of values matching within tol are added."""
-    k = len(a.values)
-    vals = np.concatenate([a.values, np.empty(len(b.values), dtype=complex)])
-    mults = np.concatenate([a.multiplicities, np.zeros(len(b.values), dtype=np.int64)])
-    for v, m in zip(b.values, b.multiplicities):
-        if k:
-            d = np.abs(vals[:k] - v)
-            j = int(d.argmin())
-            if d[j] <= tol:
-                mults[j] += m
-                continue
-        vals[k], mults[k] = v, m
-        k += 1
-    return SpectrumMultiset(vals[:k], mults[:k], a.source_dim + b.source_dim)
-
-
 def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
     """Greedy nearest-neighbour matching; returns (matched, worst distance).
 
@@ -154,12 +136,10 @@ def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
     return worst <= tol, worst
 
 
-def _check_eig_dim(dim: int, max_dim: int):
+def _check_eig_dim(dim: int):
     """Refuse what `eig_dense` would refuse, before the matrix is built."""
-    if max_dim > EIG_DIM_HARD_CAP:
-        raise ParamOutOfRange("max_dim %d beyond hard cap %d" % (max_dim, EIG_DIM_HARD_CAP))
-    if dim > max_dim:
-        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, max_dim))
+    if dim > EIG_DIM_CAP:
+        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, EIG_DIM_CAP))
 
 
 def _eigvals_checked(a: np.ndarray) -> np.ndarray:
@@ -201,22 +181,22 @@ def _cluster(w: np.ndarray) -> SpectrumMultiset:
     return SpectrumMultiset.from_eigenvalues(w, _CLUSTER_REL * max(1.0, rho))
 
 
-def eig_dense(matrix, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
+def eig_dense(matrix) -> SpectrumMultiset:
     """Full spectrum of a dense matrix with a residual check on sampled pairs.
 
     A matrix whose imaginary part is exactly zero is solved in real
     arithmetic, so its spectrum is exactly closed under conjugation.
     Clusters repeated eigenvalues within 1e-6 * max(1, rho).  Raises
-    SizeCapExceeded above max_dim and NoConvergence if the solver fails or
-    one of the 8 largest-modulus eigenpairs misses the residual bound
-    1e-8 * ||A||_F.
+    SizeCapExceeded above dimension EIG_DIM_CAP = 1024 and NoConvergence if
+    the solver fails or one of the 8 largest-modulus eigenpairs misses the
+    residual bound 1e-8 * ||A||_F.
     """
     if isinstance(matrix, GlobalOperator):
         matrix = matrix.dense
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
-    _check_eig_dim(a.shape[0], max_dim)
+    _check_eig_dim(a.shape[0])
     return _cluster(_eigvals_checked(a))
 
 
@@ -243,13 +223,22 @@ def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     H-G = Q_n D this is block lower triangular, which proves
     Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
     diagonal of D (or one scalar).  Returns the largest entry of
-    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|).
+    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|); the
+    three differences are formed one after another in one quadrant buffer.
     """
-    eg, fh, hg = _quadrant_sums(q_big)
+    h = q_big.shape[0] // 2
+    e, f = q_big[:h, :h], q_big[:h, h:]
+    g, hh = q_big[h:, :h], q_big[h:, h:]
     scale = max(1.0, float(np.abs(q_small).max()))
-    return max(float(np.abs(eg - q_small).max()),
-               float(np.abs(fh - q_small).max()),
-               float(np.abs(hg - q_small * d).max())) / scale
+    s = e + g
+    s -= q_small
+    worst = float(np.abs(s).max())
+    np.add(f, hh, out=s)
+    s -= q_small
+    worst = max(worst, float(np.abs(s).max()))
+    np.subtract(hh, g, out=s)
+    s -= q_small * d
+    return max(worst, float(np.abs(s).max())) / scale
 
 
 def _unit_sums(local: LocalOperator) -> bool:
@@ -257,7 +246,7 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def spectrum(local: LocalOperator, n_sites: int, max_dim: int = EIG_DIM_CAP) -> SpectrumMultiset:
+def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     """Spectrum of the n-site global operator, block by block where the
     spectral recursion is certified.
 
@@ -265,21 +254,21 @@ def spectrum(local: LocalOperator, n_sites: int, max_dim: int = EIG_DIM_CAP) -> 
     grown by the block recursion, and each level must pass
     `block_certificate` within 1e-12 against D_m, the two column-block
     shifts over the halves of Q_m.  Then Spec(Q_n) = {1, 1} united with
-    Spec(Q_m D_m) for m = 1..n-1: the largest eigensolve, which max_dim
-    caps, has dimension 2^(n-1), and the peak is 2.5 dense operators of
-    Q_n, charged before anything is built.  Any other table, or a level
-    that fails, takes the full solve
+    Spec(Q_m D_m) for m = 1..n-1: the largest eigensolve, which the
+    eigensolver cap limits, has dimension 2^(n-1), and the peak is 2.25
+    dense operators of Q_n, charged before anything is built.  Any other
+    table, or a level that fails, takes the full solve
     `eig_dense(build_global_recursive(local, n_sites).dense)`.  Every solve
     is checked as in `eig_dense`, and the union is clustered once.
     """
     if _unit_sums(local):
-        _check_eig_dim(2 ** (n_sites - 1), max_dim)
-        _check_budget(n_sites, 16 * 4 ** n_sites * 5 // 2)
+        _check_eig_dim(2 ** (n_sites - 1))
+        _check_budget(n_sites, 16 * 4 ** n_sites * 9 // 4)
         blocks = _recursion_blocks(local, n_sites)
         if blocks is not None:
             return _cluster(np.concatenate([np.ones(2)] + blocks))
-    _check_eig_dim(2 ** n_sites, max_dim)
-    return eig_dense(build_global_recursive(local, n_sites).dense, max_dim)
+    _check_eig_dim(2 ** n_sites)
+    return eig_dense(build_global_recursive(local, n_sites).dense)
 
 
 def _recursion_blocks(local: LocalOperator, n_sites: int) -> list[np.ndarray] | None:
