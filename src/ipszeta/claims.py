@@ -28,7 +28,6 @@ from .operators import (
 from .spectral import (
     SpectrumMultiset,
     _check_eig_dim,
-    _quadrant_sums,
     _unit_sums,
     block_certificate,
     eig_dense,
@@ -111,13 +110,17 @@ def _check_build(local: LocalOperator, n_sites: int, r_max: int):
 def _check_block_sums(local: LocalOperator, n_sites: int, r_max: int):
     """E+G = Q_{n-1} D_0 and F+H = Q_{n-1} D_1, where D_i is diagonal over
     the top bit l of the (n-1)-site index with column sum 2i+l of the table;
-    with unit column sums also the literal E+G = F+H = Q_{n-1}.  Charged up
-    front: Q_{n-1}, Q_n and its three quadrant sums, 2 operators of Q_n."""
+    with unit column sums also the literal E+G = F+H = Q_{n-1}.  Q_n is
+    dropped once its two quadrant sums are formed.  Charged up front:
+    Q_{n-1}, Q_n and the two sums, 1.75 operators of Q_n."""
     if n_sites < 2:
         raise ParamOutOfRange("block-sums needs n >= 2")
-    _check_budget(n_sites, 2 * 16 * 4 ** n_sites)
+    _check_budget(n_sites, 16 * 4 ** n_sites * 7 // 4)
     prev = build_global_recursive(local, n_sites - 1).dense
-    eg, fh, _ = _quadrant_sums(_recursion_step(local, prev))
+    big = _recursion_step(local, prev)
+    h = prev.shape[0]
+    eg, fh = big[:h, :h] + big[h:, :h], big[:h, h:] + big[h:, h:]
+    del big
     sums = local.column_sums()
     half = 1 << (n_sites - 2)
     pairs = [(eg, prev * np.repeat(sums[:2], half)), (fh, prev * np.repeat(sums[2:], half))]

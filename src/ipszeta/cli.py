@@ -24,6 +24,7 @@ from .dk import RNG_NAME, DKParams, dk_local_operator, estimate_survival, scan_c
 from .errors import IpsZetaError, NoBracket, NoConvergence, SizeCapExceeded
 from .operators import (
     LocalOperator,
+    _charge,
     build_global_kronecker,
     identity_local,
     qca_rotation_local,
@@ -179,8 +180,10 @@ def cmd_dk_scan(args, parser) -> int:
             parser.error("give either --p-grid or --p-from/--p-to/--p-step")
         if not args.p_step > 0:
             parser.error("--p-step must be positive")
-        grid = list(np.round(np.arange(args.p_from, args.p_to + args.p_step / 2,
-                                       args.p_step), 12))
+        stop = args.p_to + args.p_step / 2
+        points = np.ceil((stop - args.p_from) / args.p_step)
+        _charge(8 * points, "a p-grid of %g points" % points)
+        grid = list(np.round(np.arange(args.p_from, stop, args.p_step), 12))
     result = scan_critical(args.q, grid, args.horizon, args.trials,
                            threshold=args.eps, base_seed=args.seed, workers=args.threads)
     meta = _base_meta("dk scan", "dk(q=%g)" % args.q, seed=args.seed)

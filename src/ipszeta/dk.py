@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoBracket, ParamOutOfRange
-from .operators import LocalOperator, _pair_update, make_local_operator
+from .operators import LocalOperator, _charge, _pair_update, make_local_operator
 from .spectral import SpectrumMultiset
 
 RNG_NAME = "philox4x64(key=(base_seed, trial_index))"
@@ -154,11 +154,15 @@ def _trial_stream(base_seed: int, trial: int):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _block_layout(window: int) -> tuple[int, int]:
+    """Trials per block, each stepping a full window within `_DRAW_BYTES`, and draw-buffer size."""
+    return max(1, _DRAW_BYTES // (8 * window)), max(_DRAW_BYTES // 8, window)
+
+
 def _run_chunk(args) -> int:
     p, q, rel, span, horizon, base_seed, lo_trial, hi_trial = args
-    # a block holds one full-window step of each of its trials within the budget
-    block = max(1, _DRAW_BYTES // (8 * (span + horizon)))
-    buf = np.empty(max(_DRAW_BYTES // 8, span + horizon))
+    block, size = _block_layout(span + horizon)
+    buf = np.empty(size)
     table, rel = _birth_table(p, q), np.asarray(rel, dtype=np.int64)
     return sum(_run_block(table, rel, span, horizon, base_seed,
                           range(lo, min(lo + block, hi_trial)), buf)
@@ -219,7 +223,7 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     The empty seed set never survives (its estimate is exactly 0); otherwise
     trials are run on the fixed leftward-growing window with early exit on
     extinction.  Chunks of trials may run in parallel processes; results do
-    not depend on the worker count.
+    not depend on the worker count; all processes' buffers count against the byte budget.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
@@ -230,12 +234,16 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
                                 (0.0, 0.0), base_seed)
     span = a[-1] - a[0] + 1
     rel = [x - a[0] for x in a]
-    if workers <= 1:
-        survived = _run_chunk((params.p, params.q, rel, span, horizon, base_seed, 0, trials))
+    chunk = -(-trials // max(1, workers))
+    processes = -(-trials // chunk)
+    block, size = _block_layout(span + horizon)
+    _charge(processes * (8 * size + block * (span + horizon + 1)),
+            "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
+    jobs = [(params.p, params.q, rel, span, horizon, base_seed, lo, min(lo + chunk, trials))
+            for lo in range(0, trials, chunk)]
+    if processes == 1:
+        survived = _run_chunk(jobs[0])
     else:
-        chunk = max(1, -(-trials // workers))
-        jobs = [(params.p, params.q, rel, span, horizon, base_seed, lo, min(lo + chunk, trials))
-                for lo in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             survived = sum(pool.map(_run_chunk, jobs))
     est = survived / trials
@@ -264,8 +272,9 @@ def _point_seed(base_seed: int, index: int) -> int:
 
 
 def scan_critical(q: float, p_grid, horizon: int, trials: int, threshold: float = 0.02,
-                  base_seed: int = 0, seed_set=(0,), workers: int = 1) -> CriticalScanResult:
-    """Estimate survival along a p-grid and bracket the threshold crossing.
+                  base_seed: int = 0, workers: int = 1) -> CriticalScanResult:
+    """Estimate survival from the single seeded site 0 along a p-grid and
+    bracket the threshold crossing.
 
     Points with estimate below the threshold are labeled extinction, others
     survival; the bracket is the first adjacent pair straddling the threshold.
@@ -279,7 +288,7 @@ def scan_critical(q: float, p_grid, horizon: int, trials: int, threshold: float 
     points = []
     for i, p in enumerate(grid):
         params = DKParams(p, q)
-        points.append(estimate_survival(params, seed_set, horizon, trials,
+        points.append(estimate_survival(params, (0,), horizon, trials,
                                         base_seed=_point_seed(base_seed, i), workers=workers))
     labels = tuple(LABEL_EXTINCTION if pt.estimate < threshold else LABEL_SURVIVAL
                    for pt in points)

@@ -164,24 +164,20 @@ class GlobalOperator:
     n_sites: int
     dense: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_sites
 
-    def blocks(self):
-        """Quadrant views (E, F, G, H) of the dense matrix, each dim/2 square."""
-        h = self.dim // 2
-        d = self.dense
-        return d[:h, :h], d[:h, h:], d[h:, :h], d[h:, h:]
+def _charge(nbytes, what: str):
+    """Refuse `what` if the `nbytes` it needs exceed the byte budget; call
+    before allocating."""
+    if nbytes > _BYTE_BUDGET:
+        raise SizeCapExceeded("%s needs %s bytes, beyond the size cap of %d bytes"
+                              % (what, nbytes, _BYTE_BUDGET))
 
 
 def _check_budget(n_sites: int, peak_bytes: int):
     """Refuse n < 1, or a peak beyond the byte budget; call before allocating."""
     if n_sites < 1:
         raise ParamOutOfRange("need at least one site, got n=%d" % n_sites)
-    if peak_bytes > _BYTE_BUDGET:
-        raise SizeCapExceeded("n=%d needs %d bytes, beyond the size cap of %d bytes"
-                              % (n_sites, peak_bytes, _BYTE_BUDGET))
+    _charge(peak_bytes, "n=%d" % n_sites)
 
 
 def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator:
@@ -314,7 +310,7 @@ def _haar_unitary_2(rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_local_operator(kind, rng, label: str | None = None) -> LocalOperator:
+def random_local_operator(kind: str, rng, label: str | None = None) -> LocalOperator:
     """Draw a random local operator from a named family.
 
     Kinds: "pca" (uniform column pairs normalised to sum 1), "qca" (two Haar
@@ -322,8 +318,6 @@ def random_local_operator(kind, rng, label: str | None = None) -> LocalOperator:
     "ca" (random deterministic rule) and "complex-stochastic" (complex column
     pairs summing to 1).
     """
-    if isinstance(kind, OperatorKind):
-        kind = kind.value
     m = np.zeros((4, 4), dtype=complex)
     if kind == "pca":
         for c in range(4):

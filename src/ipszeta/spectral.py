@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from .operators import (
-    _BYTE_BUDGET,
-    GlobalOperator,
     LocalOperator,
+    _charge,
     _check_budget,
     _recursion_step,
     _sweep_table,
@@ -181,8 +180,8 @@ def _cluster(w: np.ndarray) -> SpectrumMultiset:
     return SpectrumMultiset.from_eigenvalues(w, _CLUSTER_REL * max(1.0, rho))
 
 
-def eig_dense(matrix) -> SpectrumMultiset:
-    """Full spectrum of a dense matrix with a residual check on sampled pairs.
+def eig_dense(matrix: np.ndarray) -> SpectrumMultiset:
+    """Full spectrum of a dense square array, residual-checked on sampled pairs.
 
     A matrix whose imaginary part is exactly zero is solved in real
     arithmetic, so its spectrum is exactly closed under conjugation.
@@ -191,8 +190,6 @@ def eig_dense(matrix) -> SpectrumMultiset:
     the solver fails or one of the 8 largest-modulus eigenpairs misses the
     residual bound 1e-8 * ||A||_F.
     """
-    if isinstance(matrix, GlobalOperator):
-        matrix = matrix.dense
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
@@ -205,14 +202,6 @@ def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
     a[(1,1)][(1,1)] - a[(1,1)][(0,1)] that drive the spectral recursion."""
     a = local.matrix
     return complex(a[2, 2] - a[2, 0]), complex(a[3, 3] - a[3, 1])
-
-
-def _quadrant_sums(q_big: np.ndarray):
-    """E+G, F+H and H-G of the quadrants (E, F, G, H) of a dense operator."""
-    h = q_big.shape[0] // 2
-    e, f = q_big[:h, :h], q_big[:h, h:]
-    g, hh = q_big[h:, :h], q_big[h:, h:]
-    return e + g, f + hh, hh - g
 
 
 def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
@@ -333,10 +322,7 @@ def _histogram_bins(bin_size: float) -> int:
     if not 0 < bin_size < np.inf:
         raise ParamOutOfRange("bin_size must be positive and finite")
     n_bins = int(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9))
-    if 8 * n_bins ** 2 > _BYTE_BUDGET:
-        raise SizeCapExceeded("bin size %r needs a %d x %d histogram grid of %d bytes, "
-                              "beyond the size cap of %d bytes"
-                              % (bin_size, n_bins, n_bins, 8 * n_bins ** 2, _BYTE_BUDGET))
+    _charge(8 * n_bins ** 2, "bin size %r (a %d x %d histogram grid)" % (bin_size, n_bins, n_bins))
     return n_bins
 
 

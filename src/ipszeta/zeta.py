@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamOutOfRange, SingularFactor
-from .operators import LocalOperator, _check_budget, _sweep_2d, _sweep_table
+from .operators import LocalOperator, _charge, _check_budget, _sweep_2d, _sweep_table
 from .spectral import spectrum
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
@@ -36,11 +36,13 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     part keeps real columns, since their imaginary part stays zero.  A batch
     holds `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but
     their time grows with the 4^n entries of each power, so they are admitted
-    where the complex dense operator fits the byte budget.
+    where the complex dense operator fits the byte budget.  The r_max-long
+    traces and norms are charged on their own.
     """
     _check_budget(n_sites, 16 * 4 ** n_sites)
     if r_max < 1:
         raise ParamOutOfRange("need r_max >= 1")
+    _charge(r_max * (24 if with_norms else 16), "r_max=%d" % r_max)
     dim = 1 << n_sites
     dtype = _sweep_table(local.matrix).dtype
     batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))

@@ -115,11 +115,12 @@ def test_c03_construction_equivalence_and_block_sums():
                 worst_unit = max(worst_unit, float(np.abs(sums - 1).max()))
             for n in (2, 3, 4):
                 a = build_global_kronecker(loc, n).dense
-                b = build_global_recursive(loc, n)
+                b = build_global_recursive(loc, n).dense
                 scale = max(1.0, float(np.abs(a).max()))
-                worst_build = max(worst_build, float(np.abs(a - b.dense).max()) / scale)
+                worst_build = max(worst_build, float(np.abs(a - b).max()) / scale)
                 prev = build_global_recursive(loc, n - 1).dense
-                e, f, g, h = b.blocks()
+                k = prev.shape[0]
+                e, f, g, h = b[:k, :k], b[:k, k:], b[k:, :k], b[k:, k:]
                 half = 1 << (n - 2)
                 d0, d1 = np.repeat(sums[:2], half), np.repeat(sums[2:], half)
                 pscale = max(1.0, float(np.abs(prev).max()))
@@ -245,15 +246,15 @@ def test_c06_shift_family_spectra_and_coefficients():
         if max(abs(s - p) for s in shifts) > 1e-12:
             bad.append("p=%.1f: column-block shifts %r, want t = p" % (p, shifts))
         for n in range(1, 9):
-            big = build_global_recursive(loc, n)
-            q = big.dense
+            q = build_global_recursive(loc, n).dense
             want = t_case_spectrum(p, n)
             if n == 1:
                 cert = float(np.abs(q - np.eye(2)).max())
                 rec = match_multisets(want, SpectrumMultiset.from_pairs([1.0], [2], 2), 1e-12)
             else:
                 prev = build_global_recursive(loc, n - 1).dense
-                e, f, g, h = big.blocks()
+                k = prev.shape[0]
+                e, f, g, h = q[:k, :k], q[:k, k:], q[k:, :k], q[k:, k:]
                 cert = max(float(np.abs(e + g - prev).max()),
                            float(np.abs(f + h - prev).max()),
                            float(np.abs(h - g - p * prev).max()))

@@ -282,6 +282,28 @@ def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsy
     assert not spec.exists() and not hist.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # r_max-long trace arrays of 149 GiB
+    "zeta --model dk --p 0.5 --q 0.5 --n 2 --rmax 10000000000",
+    "verify t-family --model dk --p 0.3 --q 0.6 --n 2 --rmax 10000000000",
+    # draw buffers of 8 GB: a long horizon, then a wide seed set
+    "dk survive --p 0.5 --q 0.5 --horizon 1000000000 --trials 1 --threads 1",
+    "dk survive --p 0.5 --q 0.5 --a 0,1000000000 --trials 1 --threads 1",
+    # a p-grid of 3e11 points
+    "dk scan --q 1 --p-from 0.4 --p-to 0.7 --p-step 1e-12 --threads 1",
+])
+def test_outside_sizes_refused_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        code = run(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and peak < 4 << 20
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_scan_no_bracket_exit_code(capsys):
     rc = run(["dk", "scan", "--q", "0", "--p-grid", "0.1,0.2", "--horizon", "30",
               "--trials", "100"])

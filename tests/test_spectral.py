@@ -110,13 +110,6 @@ def test_eig_cap_refuses_before_dense_build(capsys):
     assert "eigensolver cap" in capsys.readouterr().err
 
 
-def test_eig_dense_accepts_global_operator(rng):
-    loc = random_local_operator("pca", rng)
-    g = build_global_recursive(loc, 3)
-    spec = eig_dense(g)
-    assert spec.total == 8
-
-
 def test_three_site_closed_spectrum(rng):
     # six-eigenvalue closed multiset for the two-parameter model at n=3
     for _ in range(20):
