@@ -182,8 +182,8 @@ def cmd_dk_scan(args, parser) -> int:
             parser.error("--p-step must be positive")
         stop = args.p_to + args.p_step / 2
         points = np.ceil((stop - args.p_from) / args.p_step)
-        _charge(8 * points, "a p-grid of %g points" % points)
-        grid = list(np.round(np.arange(args.p_from, stop, args.p_step), 12))
+        _charge(41 * points, "a p-grid of %g points" % points)
+        grid = np.round(np.arange(args.p_from, stop, args.p_step), 12).tolist()
     result = scan_critical(args.q, grid, args.horizon, args.trials,
                            threshold=args.eps, base_seed=args.seed, workers=args.threads)
     meta = _base_meta("dk scan", "dk(q=%g)" % args.q, seed=args.seed)

@@ -10,14 +10,15 @@ randomness from a counter-based Philox stream keyed by (base_seed, i): at step
 t it consumes span + t uniforms for the candidate sites, low site first, so
 runs are reproducible for any worker count and prefixes agree across horizons.
 
-Trials run in blocks: a block's occupancies form one (trials, window) array
-that takes one vectorised pair update per time step, and trials that go
-extinct leave the block after each chunk of steps.  Uniforms are drawn lazily,
-one chunk of steps at a time, each live trial continuing its own stream, so
-the counts do not depend on the blocking and a trial that dies early never
-draws the uniforms it would not use.  Chunks grow with t (at most t steps from
-step t) as long as the block's draws fit in `_DRAW_BYTES`; the same budget
-sizes the blocks, so that one step of every trial in a block always fits.
+Trials run in blocks, and each block is one job for a worker process or the
+caller.  A block's occupancies form one (trials, window) array that takes one
+vectorised pair update per time step, and trials that go extinct leave the
+block after each chunk of steps (a chunk is always a run of steps).  Uniforms
+are drawn lazily, one chunk at a time, each live trial continuing its own
+stream, so the counts do not depend on the blocking and a trial that dies
+early never draws the uniforms it would not use.  Chunks grow with t (at most
+t steps from step t) as long as the block's draws fit in `_DRAW_BYTES`; the
+same budget sizes the blocks, so that one step of every trial in a block fits.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -159,24 +161,16 @@ def _block_layout(window: int) -> tuple[int, int]:
     return max(1, _DRAW_BYTES // (8 * window)), max(_DRAW_BYTES // 8, window)
 
 
-def _run_chunk(args) -> int:
-    p, q, rel, span, horizon, base_seed, lo_trial, hi_trial = args
-    block, size = _block_layout(span + horizon)
-    buf = np.empty(size)
-    table, rel = _birth_table(p, q), np.asarray(rel, dtype=np.int64)
-    return sum(_run_block(table, rel, span, horizon, base_seed,
-                          range(lo, min(lo + block, hi_trial)), buf)
-               for lo in range(lo_trial, hi_trial, block))
-
-
-def _run_block(table, rel, span, horizon, base_seed, trials, buf) -> int:
-    """Survivors at the horizon among `trials`, stepped together.
+def _run_block(job) -> int:
+    """Survivors at the horizon among the job's trials lo..hi-1, stepped together.
 
     Row i of `occ` is one trial's occupancy on the window of span + horizon
     sites plus an always-vacant pad slot on the right; step t updates its
     span + t candidate sites starting at horizon - t.
     """
-    rngs = [_trial_stream(base_seed, trial) for trial in trials]
+    table, rel, span, horizon, base_seed, lo, hi = job
+    buf = np.empty(_block_layout(span + horizon)[1])
+    rngs = [_trial_stream(base_seed, trial) for trial in range(lo, hi)]
     occ = np.zeros((len(rngs), horizon + span + 1), dtype=np.uint8)
     occ[:, horizon + rel] = 1
     t = 1
@@ -222,8 +216,9 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
 
     The empty seed set never survives (its estimate is exactly 0); otherwise
     trials are run on the fixed leftward-growing window with early exit on
-    extinction.  Chunks of trials may run in parallel processes; results do
-    not depend on the worker count; all processes' buffers count against the byte budget.
+    extinction.  Each block of trials is one job, run in min(workers, blocks)
+    processes when that is more than one; all their buffers count against the
+    byte budget, and results do not depend on the worker count.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
@@ -233,19 +228,19 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
         return SurvivalEstimate(params.p, params.q, a, horizon, trials, 0, 0.0,
                                 (0.0, 0.0), base_seed)
     span = a[-1] - a[0] + 1
-    rel = [x - a[0] for x in a]
-    chunk = -(-trials // max(1, workers))
-    processes = -(-trials // chunk)
     block, size = _block_layout(span + horizon)
+    processes = min(max(1, workers), -(-trials // block))
     _charge(processes * (8 * size + block * (span + horizon + 1)),
             "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
-    jobs = [(params.p, params.q, rel, span, horizon, base_seed, lo, min(lo + chunk, trials))
-            for lo in range(0, trials, chunk)]
+    table = _birth_table(params.p, params.q)
+    rel = np.array([x - a[0] for x in a], dtype=np.int64)
+    jobs = ((table, rel, span, horizon, base_seed, lo, min(lo + block, trials))
+            for lo in range(0, trials, block))
     if processes == 1:
-        survived = _run_chunk(jobs[0])
+        survived = sum(map(_run_block, jobs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            survived = sum(pool.map(_run_chunk, jobs))
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            survived = sum(pool.map(_run_block, jobs))
     est = survived / trials
     return SurvivalEstimate(params.p, params.q, a, horizon, trials, survived, est,
                             wilson_interval(survived, trials), base_seed)
@@ -281,7 +276,7 @@ def scan_critical(q: float, p_grid, horizon: int, trials: int, threshold: float 
     Raises NoBracket if the labels never change across the grid.
     """
     grid = [float(p) for p in p_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if len(grid) < 2 or any(b <= a for a, b in pairwise(grid)):
         raise ParamOutOfRange("p_grid must be increasing with at least two points")
     if not 0.0 < threshold < 1.0:
         raise ParamOutOfRange("threshold must be in (0, 1)")

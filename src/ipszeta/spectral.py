@@ -321,7 +321,10 @@ def _histogram_bins(bin_size: float) -> int:
     8 * n_bins^2 bytes exceed the byte budget, before anything allocates."""
     if not 0 < bin_size < np.inf:
         raise ParamOutOfRange("bin_size must be positive and finite")
-    n_bins = int(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9))
+    bins = (HistogramGrid.high - HistogramGrid.low) / bin_size
+    if bins == np.inf:  # a subnormal bin_size: no integer counts the bins
+        _charge(bins, "bin size %r (an unbounded histogram grid)" % (bin_size,))
+    n_bins = int(np.ceil(bins - 1e-9))
     _charge(8 * n_bins ** 2, "bin size %r (a %d x %d histogram grid)" % (bin_size, n_bins, n_bins))
     return n_bins
 

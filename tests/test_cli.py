@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipszeta import cli, dk
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator
 from ipszeta.operators import build_global_kronecker
@@ -263,10 +264,11 @@ def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("inf", 2)])
+@pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("5e-324", 3), ("inf", 2)])
 def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsys):
     # a 1e-5 bin asks for a 200000 x 200000 grid of 298 GiB, beyond the byte
-    # budget; an infinite bin leaves no bin at all.  Both are refused before
+    # budget, and the smallest subnormal bin for more bins than a float
+    # counts; an infinite bin leaves no bin at all.  All are refused before
     # the eigensolve, so no spectrum CSV is written either
     spec, hist = tmp_path / "s.csv", tmp_path / "h.csv"
     tracemalloc.start()
@@ -302,6 +304,38 @@ def test_outside_sizes_refused_before_allocating(argv, capsys):
     err = capsys.readouterr().err
     assert code == 3 and peak < 4 << 20
     assert err.startswith("error:") and "Traceback" not in err
+
+
+class _FirstPoint(Exception):
+    pass
+
+
+def test_scan_grid_within_its_charge(monkeypatch):
+    # the p-grid of 30001 points is all `dk scan` holds before its first
+    # trial; stop there and compare the traced peak with what was charged
+    def first_point(*args, **kwargs):
+        raise _FirstPoint
+
+    charge, charged = cli._charge, []
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        charge(nbytes, what)
+
+    monkeypatch.setattr(dk, "estimate_survival", first_point)
+    monkeypatch.setattr(cli, "_charge", record)
+    argv = ["dk", "scan", "--q", "1", "--p-from", "0.4", "--p-to", "0.7",
+            "--p-step", "1e-5", "--threads", "1"]
+    with pytest.raises(_FirstPoint):
+        run(argv)  # imports whatever the command loads lazily, untraced
+    tracemalloc.start()
+    try:
+        with pytest.raises(_FirstPoint):
+            run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charged[-1] + (256 << 10)
 
 
 def test_scan_no_bracket_exit_code(capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ipszeta import dk
 from ipszeta.dk import (
     DKParams,
     LatticeState,
@@ -249,3 +250,41 @@ def test_survival_golden_counts(pq, seeds, horizon, trials, base_seed, survived)
         est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
                                 base_seed=base_seed, workers=workers)
         assert est.survived == survived
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size and the jobs
+    mapped, and runs them in-process."""
+
+    def __init__(self, log, max_workers):
+        self.log = log
+        log.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.log.append(len(jobs))
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("case, workers, pool_and_jobs", [
+    # a 61-site window holds 1074 trials a block: 800 trials start no pool
+    (0, 5, []),
+    # a 63-site window holds 1040 trials a block: 3000 trials are 3 jobs,
+    # mapped over min(workers, 3) processes
+    (1, 2, [2, 3]),
+    (1, 8, [3, 3]),
+])
+def test_survival_blocks_are_the_jobs(case, workers, pool_and_jobs, monkeypatch):
+    pq, seeds, horizon, trials, base_seed, survived = GOLDEN_COUNTS[case]
+    log = []
+    monkeypatch.setattr(dk, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(log, max_workers))
+    est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
+                            base_seed=base_seed, workers=workers)
+    assert log == pool_and_jobs and est.survived == survived
