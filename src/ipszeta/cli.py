@@ -182,7 +182,8 @@ def cmd_dk_scan(args, parser) -> int:
             parser.error("--p-step must be positive")
         stop = args.p_to + args.p_step / 2
         points = np.ceil((stop - args.p_from) / args.p_step)
-        _charge(41 * points, "a p-grid of %g points" % points)
+        # a whole scan, traced: grid, estimates and CSV text, <= 760 B a point
+        _charge(800 * points, "a scan of %g points" % points)
         grid = np.round(np.arange(args.p_from, stop, args.p_step), 12).tolist()
     result = scan_critical(args.q, grid, args.horizon, args.trials,
                            threshold=args.eps, base_seed=args.seed, workers=args.threads)

@@ -10,6 +10,8 @@ and at most 8 entries are nonzero.
 The global operator on n sites is the product of local factors swept over the
 pairs (0,1), (1,2), ..., (n-2,n-1), where the pair-(0,1) factor acts first on
 a state.  For n = 1 the global operator is the 2x2 identity by convention.
+Matrix-free actions apply the factors two pairs at a time through the dense
+8x8 three-site block Q_3, in ceil((n-1)/2) passes over a state.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator
 
     The j = 0 factor is applied first.  The factors are never formed: the
     product is grown one site at a time, P_0 = a and
-    P_j = (I_(2^j) (x) a) (P_(j-1) (x) I_2), the left factor applied by the
-    pair sweep's step in real arithmetic for a real table.  The build costs
+    P_j = (I_(2^j) (x) a) (P_(j-1) (x) I_2), the left factor applied as one
+    pair's product in real arithmetic for a real table.  The build costs
     O(4^n) instead of the O(n 8^n) of multiplying dense factors.  The peak
     is 1.5 complex dense operators for a real table, 2.25 for a complex one
     (the last step holds P_(n-3), P_(n-3) (x) I_2 and the product).
@@ -241,17 +243,23 @@ def _sweep_2d(matrix4: np.ndarray, n_sites: int, states: np.ndarray) -> np.ndarr
     """Apply the global operator to a C-contiguous (2**n, b) batch of column
     states.  `states` is never written; for n >= 2 the result is a new array.
 
-    Pair j's factor multiplies the 4-row blocks of the batch reshaped to
-    (2**j, 4, rest).  A real table sweeps complex states as their interleaved
-    float64 view, which the real factors act on entrywise.
+    The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
+    as the same 8x8 block Q_3 (the per-pair product applied to the identity),
+    which multiplies the 8-row blocks of the batch reshaped to (2**j, 8, rest).
+    When n-1 is odd the table itself takes the last pair, so a sweep makes
+    ceil((n-1)/2) passes.  A real table sweeps complex states as their
+    interleaved float64 view, which the real factors act on entrywise.
     """
     a = _sweep_table(matrix4)
+    eye = np.eye(8, dtype=a.dtype)
+    q3 = np.matmul(a, np.matmul(a, eye.reshape(1, 4, 16)).reshape(2, 4, 8)).reshape(8, 8)
     out = states
     as_real = np.isrealobj(a) and np.iscomplexobj(states)
     if as_real:
         out = states.view(np.float64)
-    for j in range(n_sites - 1):
-        out = np.matmul(a, out.reshape(1 << j, 4, -1))
+    for j in range(0, n_sites - 1, 2):
+        b = q3 if j + 2 < n_sites else a
+        out = np.matmul(b, out.reshape(1 << j, len(b), -1))
     out = out.reshape(states.shape[0], -1)
     return out.view(states.dtype) if as_real else out
 
@@ -259,8 +267,8 @@ def _sweep_2d(matrix4: np.ndarray, n_sites: int, states: np.ndarray) -> np.ndarr
 def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
     """Apply the global operator to a state vector without building a matrix.
 
-    Sweeps the local operator over the pairs (0,1), ..., (n-2,n-1) in order,
-    which reproduces the dense operator's action exactly.  The result is a
+    Sweeps the pair factors in order, two at a time through Q_3, which
+    reproduces the dense operator's action up to rounding.  The result is a
     new complex128 array; the input is never written.  The peak is 3 complex
     states: the complex copy of a real input and two sweep buffers.
     """

@@ -32,7 +32,8 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
 
     The diagonal of each power is accumulated from the swept columns, and the
     1-norm (largest absolute column sum) is the largest column sum over all
-    batches, so no dense power is ever stored.  A table with zero imaginary
+    batches, so no dense power is ever stored.  Each power is one sweep of
+    ceil((n-1)/2) passes through Q_3 per batch.  A table with zero imaginary
     part keeps real columns, since their imaginary part stays zero.  A batch
     holds `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but
     their time grows with the 4^n entries of each power, so they are admitted
@@ -106,11 +107,16 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
     from the computed 1-norms of Q, ..., Q^r_max.
 
     Each computed norm is raised by its first-order rounding allowance.  The
-    sweep of a column through k(n-1) pair products of at most four terms errs
-    by at most 8 eps per product relative to |Q|^k, and || |Q|^k ||_1 <=
-    ||Q||_1^k; the computed ||Q||_1 itself is accurate, since every entry of
-    Q is a single product of table entries.  A column sum of 2^n terms errs
-    by at most 2^n eps relative.  n = 1 gives 1.
+    sweep of a column makes k*ceil((n-1)/2) passes.  A pass through Q_3 sums
+    at most 4 nonzero products per output, each with one entry of Q_3, a
+    single rounded product of two table entries: it errs by at most
+    sqrt(2)(gamma_2 + gamma_6) < 6 eps relative to |Q_3| (unit roundoff
+    eps/2), under the 16 eps allowed its two pair products, and a last pass
+    by the table alone by under 8 eps.  So 8 eps k(n-1) still bounds the
+    error relative to |Q|^k, and || |Q|^k ||_1 <= ||Q||_1^k; the computed
+    ||Q||_1 itself is accurate, since every entry of Q is a single product
+    of table entries.  A column sum of 2^n terms errs by at most 2^n eps
+    relative.  n = 1 gives 1.
     """
     if n_sites == 1:
         return 1.0

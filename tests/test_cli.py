@@ -338,6 +338,28 @@ def test_scan_grid_within_its_charge(monkeypatch):
     assert peak <= charged[-1] + (256 << 10)
 
 
+def test_scan_whole_peak_within_its_charge(monkeypatch, tmp_path):
+    # a whole 3001-point scan holds the grid, every point's estimate and the
+    # CSV text at once; the charge made before the grid must cover them
+    charge, charged = cli._charge, []
+
+    def record(nbytes, what):
+        charged.append(nbytes)
+        charge(nbytes, what)
+
+    monkeypatch.setattr(cli, "_charge", record)
+    argv = ["dk", "scan", "--q", "1", "--p-from", "0.4", "--p-to", "0.43", "--p-step", "1e-5",
+            "--horizon", "1", "--trials", "1", "--threads", "1", "--out", str(tmp_path / "s.csv")]
+    assert run(argv) == 0  # imports whatever the command loads lazily, untraced
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charged[-1] + (256 << 10), (peak, charged[-1])
+
+
 def test_scan_no_bracket_exit_code(capsys):
     rc = run(["dk", "scan", "--q", "0", "--p-grid", "0.1,0.2", "--horizon", "30",
               "--trials", "100"])

@@ -218,16 +218,65 @@ def kernel_tables(rng):
             random_local_operator("general", rng))
 
 
+def per_pair_sweep(matrix4, n_sites, states):
+    """The previous sweep kernel: one pass over the batch per pair factor."""
+    a = operators._sweep_table(matrix4)
+    out = states
+    as_real = np.isrealobj(a) and np.iscomplexobj(states)
+    if as_real:
+        out = states.view(np.float64)
+    for j in range(n_sites - 1):
+        out = np.matmul(a, out.reshape(1 << j, 4, -1))
+    out = out.reshape(states.shape[0], -1)
+    return out.view(states.dtype) if as_real else out
+
+
 def test_kronecker_build_matches_identity_sweep(rng):
-    # the site-by-site product against the previous builder, the pair sweep
-    # applied to the identity columns (real ones for a real table)
+    # the site-by-site product against the previous builder, the per-pair
+    # sweep applied to the identity columns (real ones for a real table)
     for loc in kernel_tables(rng):
         a = operators._sweep_table(loc.matrix)
         for n in range(1, 11):
-            want = operators._sweep_2d(loc.matrix, n, np.eye(1 << n, dtype=a.dtype))
+            want = per_pair_sweep(loc.matrix, n, np.eye(1 << n, dtype=a.dtype))
             got = build_global_kronecker(loc, n).dense
             assert got.dtype == np.complex128
             assert np.array_equal(got, want), (loc.label, n)
+
+
+def test_grouped_sweep_matches_per_pair_sweep(rng):
+    # two pairs a pass through Q_3 round differently from one pair a pass;
+    # odd and even pair counts, one to many columns, real and complex states
+    # under each table
+    for loc in kernel_tables(rng):
+        for n in range(1, 13):
+            for cols in (1, 3, 256):
+                for cplx in (False, True):
+                    states = rng.standard_normal((1 << n, cols))
+                    if cplx:
+                        states = states + 1j * rng.standard_normal((1 << n, cols))
+                    keep = states.copy()
+                    want = per_pair_sweep(loc.matrix, n, states)
+                    got = operators._sweep_2d(loc.matrix, n, states)
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    err = np.abs(got - want).max()
+                    assert err <= 1e-13 * np.abs(want).max(), (loc.label, n, cols, cplx)
+                    assert np.array_equal(states, keep)
+
+
+def test_matrix_free_peak_within_three_states(rng):
+    # the complex copy of a real input and two sweep buffers, as the budget
+    # charges; the allowance covers Q_3 and matmul's small scratch
+    n = 16
+    for loc in kernel_tables(rng):
+        for v in (rng.standard_normal(1 << n),
+                  rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)):
+            tracemalloc.start()
+            try:
+                apply_matrix_free(loc, n, v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 16 * 2 ** n + (512 << 10), (loc.label, v.dtype, peak)
 
 
 def old_block_grid(local, n_sites):
