@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -217,8 +217,9 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     The empty seed set never survives (its estimate is exactly 0); otherwise
     trials are run on the fixed leftward-growing window with early exit on
     extinction.  Each block of trials is one job, run in min(workers, blocks)
-    processes when that is more than one; all their buffers count against the
-    byte budget, and results do not depend on the worker count.
+    processes when that is more than one, which are handed at most 4 jobs a
+    process at a time; all their buffers count against the byte budget, and
+    results do not depend on the worker count.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
@@ -239,8 +240,11 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     if processes == 1:
         survived = sum(map(_run_block, jobs))
     else:
+        # `pool.map` submits every job it is given at once
+        survived = 0
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            survived = sum(pool.map(_run_block, jobs))
+            while window := list(islice(jobs, 4 * processes)):
+                survived += sum(pool.map(_run_block, window))
     est = survived / trials
     return SurvivalEstimate(params.p, params.q, a, horizon, trials, survived, est,
                             wilson_interval(survived, trials), base_seed)

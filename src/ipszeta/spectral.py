@@ -2,10 +2,16 @@
 the one-site block certificate and the block-by-block spectrum it proves,
 closed-form traces and eigenvalue histograms.
 
+Every dense solve splits a matrix whose even/odd cross blocks are exactly
+zero into its two halves.  A global operator never moves its last site, the
+least significant bit of its index, so each Q_n and each block Q_m D_m is
+solved as two matrices of half its dimension.
+
 Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons
 use greedy nearest-neighbour matching at an explicit tolerance, since
 repeated eigenvalues of these non-normal operators come back from a dense
-solver as small clusters.
+solver as small clusters; the clusters of a conjugation-closed input are
+closed too.
 """
 
 from __future__ import annotations
@@ -66,14 +72,29 @@ class SpectrumMultiset:
 
         Greedy in (real, imag) order: each value joins the cluster whose
         running mean is nearest, if within cluster_tol, else starts one.
+
+        Input exactly closed under conjugation, with some value off the real
+        axis (a real matrix's eigenvalues), is clustered over its values with
+        imag >= 0 only and then mirrored, so the result is closed too.  A
+        cluster holding a real value, or whose mean lies within cluster_tol/2
+        of the axis, becomes one real cluster that also counts the conjugates
+        of its members; any other is emitted once as itself and once
+        conjugated.  Values are then sorted by (real, imag).
         """
         eigs = np.asarray(eigs, dtype=complex).ravel()
-        order = np.lexsort((eigs.imag, eigs.real))
-        sums = np.empty(len(eigs), dtype=complex)
-        counts = np.zeros(len(eigs), dtype=np.int64)
-        means = np.empty(len(eigs), dtype=complex)
+        ordered = eigs[np.lexsort((eigs.imag, eigs.real))]
+        mirror = False
+        if eigs.imag.any():
+            c = ordered.conj()
+            mirror = np.array_equal(ordered, c[np.lexsort((c.imag, c.real))])
+        if mirror:
+            ordered = ordered[ordered.imag >= 0]
+        sums = np.empty(len(ordered), dtype=complex)
+        counts = np.zeros(len(ordered), dtype=np.int64)
+        means = np.empty(len(ordered), dtype=complex)
+        labels = np.empty(len(ordered), dtype=np.int64)
         k = 0
-        for z in eigs[order]:
+        for i, z in enumerate(ordered):
             if k:
                 d = np.abs(means[:k] - z)
                 j = int(d.argmin())
@@ -81,11 +102,28 @@ class SpectrumMultiset:
                     sums[j] += z
                     counts[j] += 1
                     means[j:j + 1] = sums[j:j + 1] / counts[j:j + 1]
+                    labels[i] = j
                     continue
             sums[k] = means[k] = z
             counts[k] = 1
+            labels[i] = k
             k += 1
-        return cls(means[:k], counts[:k], len(eigs))
+        if not mirror:
+            return cls(means[:k], counts[:k], len(eigs))
+        means, counts = means[:k], counts[:k]
+        real = ordered.imag == 0
+        # each member off the axis stands for itself and its conjugate
+        weight = np.where(real, 1.0, 2.0)
+        merged = np.abs(means.imag) <= cluster_tol / 2
+        merged[labels[real]] = True
+        total = np.bincount(labels, weights=weight, minlength=k).astype(np.int64)
+        re_sum = np.bincount(labels, weights=weight * ordered.real, minlength=k)
+        pair = ~merged
+        values = np.concatenate([re_sum[merged] / total[merged] + 0j,
+                                 means[pair], means[pair].conj()])
+        mults = np.concatenate([total[merged], counts[pair], counts[pair]])
+        order = np.lexsort((values.imag, values.real))
+        return cls(values[order], mults[order], len(eigs))
 
     @classmethod
     def from_pairs(cls, values, multiplicities, source_dim: int) -> "SpectrumMultiset":
@@ -147,13 +185,22 @@ def _eigvals_checked(a: np.ndarray) -> np.ndarray:
 
     An array whose imaginary part is exactly zero is solved in real
     arithmetic, so its eigenvalues are exactly closed under conjugation.
-    Raises NoConvergence if the solver fails or a sampled pair misses the
-    residual bound 1e-8 * ||A||_F.
+    An array whose cross blocks a[1::2, 0::2] and a[0::2, 1::2] are exactly
+    zero is, after an even/odd permutation, the direct sum of a[0::2, 0::2]
+    and a[1::2, 1::2]; each half goes through this function on its own, and
+    every global operator and block Q_m D_m splits so over its last site,
+    which never moves.  Raises NoConvergence if the solver fails or one of
+    the 8 sampled pairs of a matrix solved (a half, after a split) misses the
+    residual bound 1e-8 times that matrix's Frobenius norm.  A half's
+    eigenvector padded with zeros is one of the whole, and the half's norm is
+    no larger, so checking the halves is at least as strict.
     """
     if np.iscomplexobj(a):
         a = _sweep_table(a.astype(complex, copy=False))
     else:
         a = a.astype(np.float64, copy=False)
+    if len(a) > 1 and not (a[1::2, 0::2].any() or a[0::2, 1::2].any()):
+        return np.concatenate([_eigvals_checked(a[0::2, 0::2]), _eigvals_checked(a[1::2, 1::2])])
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -184,11 +231,14 @@ def eig_dense(matrix: np.ndarray) -> SpectrumMultiset:
     """Full spectrum of a dense square array, residual-checked on sampled pairs.
 
     A matrix whose imaginary part is exactly zero is solved in real
-    arithmetic, so its spectrum is exactly closed under conjugation.
-    Clusters repeated eigenvalues within 1e-6 * max(1, rho).  Raises
+    arithmetic, so its spectrum is exactly closed under conjugation.  A
+    matrix whose even/odd cross blocks are exactly zero, as every global
+    operator's are, is solved as its two halves (see `_eigvals_checked`).
+    Clusters repeated eigenvalues within 1e-6 * max(1, rho), conjugation-
+    safely (see `SpectrumMultiset.from_eigenvalues`).  Raises
     SizeCapExceeded above dimension EIG_DIM_CAP = 1024 and NoConvergence if
-    the solver fails or one of the 8 largest-modulus eigenpairs misses the
-    residual bound 1e-8 * ||A||_F.
+    the solver fails or one of the 8 largest-modulus eigenpairs of a solved
+    half misses the residual bound 1e-8 * ||half||_F.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -243,12 +293,14 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     grown by the block recursion, and each level must pass
     `block_certificate` within 1e-12 against D_m, the two column-block
     shifts over the halves of Q_m.  Then Spec(Q_n) = {1, 1} united with
-    Spec(Q_m D_m) for m = 1..n-1: the largest eigensolve, which the
+    Spec(Q_m D_m) for m = 1..n-1: the largest block, which the
     eigensolver cap limits, has dimension 2^(n-1), and the peak is 2.25
     dense operators of Q_n, charged before anything is built.  Any other
     table, or a level that fails, takes the full solve
     `eig_dense(build_global_recursive(local, n_sites).dense)`.  Every solve
-    is checked as in `eig_dense`, and the union is clustered once.
+    is split over the last site and checked as in `eig_dense`, so the
+    largest matrix handed to the solver has dimension 2^(n-2) on the block
+    path and 2^(n-1) on the full one; the union is clustered once.
     """
     if _unit_sums(local):
         _check_eig_dim(2 ** (n_sites - 1))

@@ -288,3 +288,14 @@ def test_survival_blocks_are_the_jobs(case, workers, pool_and_jobs, monkeypatch)
     est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
                             base_seed=base_seed, workers=workers)
     assert log == pool_and_jobs and est.survived == survived
+
+
+def test_survival_pool_maps_windows(monkeypatch):
+    # a 401-site window holds 163 trials a block: 1500 trials are 10 jobs, which
+    # 2 processes take as windows of 8 and 2; 89 survivors, as the in-process
+    # path counts them
+    log = []
+    monkeypatch.setattr(dk, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(log, max_workers))
+    est = estimate_survival(DKParams(0.6, 0.9), (0,), 400, 1500, base_seed=17, workers=2)
+    assert log == [2, 8, 2] and est.survived == 89

@@ -280,20 +280,50 @@ def conjugate(spec):
 
 
 def test_eig_dense_real_tables_conjugation_closed(rng):
-    for key, loc in real_tables(rng).items():
-        for n in range(2, 8):
-            q = build_global_recursive(loc, n).dense
-            spec = eig_dense(q)
-            assert match_multisets(spec, conjugate(spec), 0.0)[0], (key, n)
-            w = np.linalg.eigvals(q.astype(np.complex128))
-            if n <= 4:
-                ref = SpectrumMultiset.from_eigenvalues(w, 1e-6)
-                ok, dist = match_multisets(spec, ref, 1e-8)
-                assert ok, (key, n, dist)
-            # beyond n = 4 defective clusters scatter as eps^(1/m) in either
-            # solver; their power sums stay sharp
-            for r in range(1, 9):
-                assert abs(spec.moment(r) - np.sum(w ** r)) <= 1e-12 * (1 << n), (key, n, r)
+    cases = [(key, loc, n) for key, loc in real_tables(rng).items() for n in range(2, 8)]
+    # the shift family t = 0.3 scatters its defective clusters across the
+    # real axis, where greedy clustering in (real, imag) order alone breaks closure
+    cases += [("dk(0.3, 0.6)", dk_local_operator(DKParams(0.3, 0.6)), n) for n in (8, 9)]
+    for key, loc, n in cases:
+        q = build_global_recursive(loc, n).dense
+        spec = eig_dense(q)
+        for got in (spec, spectrum(loc, n)):
+            assert match_multisets(got, conjugate(got), 0.0)[0], (key, n)
+        w = np.linalg.eigvals(q.astype(np.complex128))
+        if n <= 4:
+            ref = SpectrumMultiset.from_eigenvalues(w, 1e-6)
+            ok, dist = match_multisets(spec, ref, 1e-8)
+            assert ok, (key, n, dist)
+        # beyond n = 4 defective clusters scatter as eps^(1/m) in either
+        # solver; their power sums stay sharp
+        for r in range(1, 9):
+            assert abs(spec.moment(r) - np.sum(w ** r)) <= 1e-12 * (1 << n), (key, n, r)
+
+
+def test_from_eigenvalues_mirrors_conjugation_closed_input(rng):
+    # tol 1: one greedy pass in (real, imag) order (old_from_eigenvalues) puts
+    # -0.375i, 0.375i and 0.25-0.875i in one cluster and 0.25+0.875i in
+    # another, a result not closed
+    straddle = np.array([-0.375j, 0.375j, 0.25 - 0.875j, 0.25 + 0.875j])
+    got = SpectrumMultiset.from_eigenvalues(straddle, 1.0)
+    assert got.values.tolist() == [0.125 - 0.625j, 0.125 + 0.625j]
+    assert got.multiplicities.tolist() == [2, 2]
+    assert not same_multiset(old_from_eigenvalues(straddle, 1.0), got)
+    # a cluster with a real member, or a mean within tol/2 of the axis, is one
+    # real cluster counting both halves; the others come as conjugate pairs
+    eigs = np.array([3.0, 3.0 + 0.75j, 3.0 - 0.75j, 5.0 + 0.375j, 5.0 - 0.375j,
+                     7.0 + 0.5j, 7.0 - 0.5j, 7.25 + 0.75j, 7.25 - 0.75j])
+    got = SpectrumMultiset.from_eigenvalues(rng.permutation(eigs), 1.0)
+    assert got.values.tolist() == [3.0, 5.0, 7.125 - 0.625j, 7.125 + 0.625j]
+    assert got.multiplicities.tolist() == [3, 2, 2, 2]
+    # equivariant and closed on a real solve's output, whatever the input order
+    q = build_global_recursive(dk_local_operator(DKParams(0.3, 0.6)), 7).dense
+    w = np.linalg.eigvals(q.real)
+    for tol in (1e-6, 2.0 ** -10, 0.0625):
+        got = SpectrumMultiset.from_eigenvalues(w, tol)
+        assert same_multiset(got, SpectrumMultiset.from_eigenvalues(w[::-1].conj(), tol))
+        assert same_multiset(got, SpectrumMultiset.from_eigenvalues(rng.permutation(w), tol))
+        assert match_multisets(got, conjugate(got), 0.0)[0] and got.total == len(w)
 
 
 def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
@@ -309,6 +339,47 @@ def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
     with pytest.raises(NoConvergence, match="residual"):
         eig_dense(q)
     assert seen == [np.float64]
+
+
+def split_tables(rng):
+    return {"dk": dk_local_operator(DKParams(0.5, 0.75)),
+            "general": random_local_operator("general", rng),
+            "qca": random_local_operator("qca", rng)}
+
+
+def test_last_site_split_power_sums_match_whole_solve(rng):
+    # the halves' spectra united equal the whole complex matrix's: power sums
+    # to 1e-12 * 2^n, scaled by rho^r where the table's radius exceeds 1
+    for key, loc in split_tables(rng).items():
+        for n in range(2, 9):
+            q = build_global_recursive(loc, n).dense
+            spec = eig_dense(q)
+            w = np.linalg.eigvals(q.astype(np.complex128))
+            rho = max(1.0, float(np.abs(w).max()))
+            for r in range(1, 9):
+                err = abs(spec.moment(r) - np.sum(w ** r))
+                assert err <= 1e-12 * (1 << n) * rho ** r, (key, n, r, err)
+
+
+def test_last_site_split_solves_two_halves(rng, monkeypatch):
+    shapes = []
+    true_eig = np.linalg.eig
+
+    def recording(a):
+        shapes.append(a.shape)
+        return true_eig(a)
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    for loc in split_tables(rng).values():
+        shapes.clear()
+        eig_dense(build_global_recursive(loc, 6).dense)
+        assert shapes == [(32, 32), (32, 32)], loc.label
+    # one tiny cross entry: the single full-size solve, as before the split
+    q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 6).dense
+    q[1, 0] = 1e-300
+    shapes.clear()
+    got = spectral._eigvals_checked(q)
+    assert shapes == [(64, 64)]
+    assert np.array_equal(got, true_eig(q.real)[0])
 
 
 def old_from_eigenvalues(eigs, cluster_tol):
