@@ -2,10 +2,10 @@
 the one-site block certificate and the block-by-block spectrum it proves,
 closed-form traces and eigenvalue histograms.
 
-Every dense solve splits a matrix whose even/odd cross blocks are exactly
-zero into its two halves.  A global operator never moves its last site, the
-least significant bit of its index, so each Q_n and each block Q_m D_m is
-solved as two matrices of half its dimension.
+A global operator never moves its last site, the least significant bit of
+its index, so Q_m is the direct sum of its halves Q_m[c::2, c::2].  `spectrum`
+grows and solves the halves alone; any other dense solve splits a matrix
+whose even/odd cross blocks are exactly zero into its two halves.
 
 Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons
 use greedy nearest-neighbour matching at an explicit tolerance, since
@@ -29,7 +29,6 @@ from .operators import (
     _check_budget,
     _recursion_step,
     _sweep_table,
-    build_global_recursive,
 )
 
 EIG_DIM_CAP = 1 << 10
@@ -186,14 +185,13 @@ def _eigvals_checked(a: np.ndarray) -> np.ndarray:
     An array whose imaginary part is exactly zero is solved in real
     arithmetic, so its eigenvalues are exactly closed under conjugation.
     An array whose cross blocks a[1::2, 0::2] and a[0::2, 1::2] are exactly
-    zero is, after an even/odd permutation, the direct sum of a[0::2, 0::2]
-    and a[1::2, 1::2]; each half goes through this function on its own, and
-    every global operator and block Q_m D_m splits so over its last site,
-    which never moves.  Raises NoConvergence if the solver fails or one of
-    the 8 sampled pairs of a matrix solved (a half, after a split) misses the
-    residual bound 1e-8 times that matrix's Frobenius norm.  A half's
-    eigenvector padded with zeros is one of the whole, and the half's norm is
-    no larger, so checking the halves is at least as strict.
+    zero, as every global operator's are, is the direct sum of a[0::2, 0::2]
+    and a[1::2, 1::2] after an even/odd permutation; each half goes through
+    this function on its own.  Raises NoConvergence if the solver fails or
+    one of the 8 sampled pairs of a matrix solved (a half, after a split)
+    misses the residual bound 1e-8 times that matrix's Frobenius norm.  A
+    half's eigenvector padded with zeros is one of the whole, and the half's
+    norm is no larger, so checking the halves is at least as strict.
     """
     if np.iscomplexobj(a):
         a = _sweep_table(a.astype(complex, copy=False))
@@ -254,21 +252,12 @@ def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
     return complex(a[2, 2] - a[2, 0]), complex(a[3, 3] - a[3, 1])
 
 
-def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
-    """Relative residual of the one-site block similarity of Q_{n+1}.
-
-    With quadrants (E, F, G, H) of Q_{n+1} and S = [[I, I], [0, I]] on site 0,
-    S Q_{n+1} S^-1 = [[E+G, F+H-E-G], [G, H-G]].  When E+G = F+H = Q_n and
-    H-G = Q_n D this is block lower triangular, which proves
-    Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
-    diagonal of D (or one scalar).  Returns the largest entry of
-    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|); the
-    three differences are formed one after another in one quadrant buffer.
-    """
+def _certificate_gap(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
+    """`block_certificate` before its division by max(1, max|Q_n|); the three
+    differences are formed one after another in one quadrant buffer."""
     h = q_big.shape[0] // 2
     e, f = q_big[:h, :h], q_big[:h, h:]
     g, hh = q_big[h:, :h], q_big[h:, h:]
-    scale = max(1.0, float(np.abs(q_small).max()))
     s = e + g
     s -= q_small
     worst = float(np.abs(s).max())
@@ -277,7 +266,20 @@ def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     worst = max(worst, float(np.abs(s).max()))
     np.subtract(hh, g, out=s)
     s -= q_small * d
-    return max(worst, float(np.abs(s).max())) / scale
+    return max(worst, float(np.abs(s).max()))
+
+
+def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
+    """Relative residual of the one-site block similarity of Q_{n+1}.
+
+    With quadrants (E, F, G, H) of Q_{n+1} and S = [[I, I], [0, I]] on site 0,
+    S Q_{n+1} S^-1 = [[E+G, F+H-E-G], [G, H-G]].  When E+G = F+H = Q_n and
+    H-G = Q_n D this is block lower triangular, which proves
+    Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
+    diagonal of D (or one scalar).  Returns the largest entry of
+    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|).
+    """
+    return _certificate_gap(q_big, q_small, d) / max(1.0, float(np.abs(q_small).max()))
 
 
 def _unit_sums(local: LocalOperator) -> bool:
@@ -286,46 +288,43 @@ def _unit_sums(local: LocalOperator) -> bool:
 
 
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
-    """Spectrum of the n-site global operator, block by block where the
-    spectral recursion is certified.
+    """Spectrum of the n-site global operator, solved as last-site halves.
 
-    With unit column sums (each within 1e-12) Q_1 = I_2, Q_2, ..., Q_n are
-    grown by the block recursion, and each level must pass
-    `block_certificate` within 1e-12 against D_m, the two column-block
-    shifts over the halves of Q_m.  Then Spec(Q_n) = {1, 1} united with
-    Spec(Q_m D_m) for m = 1..n-1: the largest block, which the
-    eigensolver cap limits, has dimension 2^(n-1), and the peak is 2.25
-    dense operators of Q_n, charged before anything is built.  Any other
-    table, or a level that fails, takes the full solve
-    `eig_dense(build_global_recursive(local, n_sites).dense)`.  Every solve
-    is split over the last site and checked as in `eig_dense`, so the
-    largest matrix handed to the solver has dimension 2^(n-2) on the block
-    path and 2^(n-1) on the full one; the union is clustered once.
+    The halves B_c(m) = Q_m[c::2, c::2] are grown from the table's halves
+    B_c(2) = M_c one site at a time; Q_m itself is never formed.  With unit
+    column sums (each within 1e-12) every level m = 1..n-1 must pass the
+    block certificate within 1e-12 against D_m, the two column-block shifts
+    over the halves of Q_m, its gap taken over both halves and scaled by
+    max(1, max|Q_m|).  Then Spec(Q_n) = {1, 1} united with Spec(Q_m D_m),
+    solved as the halves B_c(m) (D_m)_c, of dimension up to 2^(n-2).  Any
+    other table, or a level that fails, solves B_0(n) and B_1(n), 2^(n-1).
+    The eigensolver cap on that largest half (again when a level fails) and
+    the byte budget of one dense operator of Q_n (the halves of Q_(n-1) and
+    Q_n hold five eighths, a half's eigensolve or the certificate's buffers
+    at most three more) are checked before anything is built.  Each solve
+    is checked as in `eig_dense`, and the union is clustered once.
     """
-    if _unit_sums(local):
-        _check_eig_dim(2 ** (n_sites - 1))
-        _check_budget(n_sites, 16 * 4 ** n_sites * 9 // 4)
-        blocks = _recursion_blocks(local, n_sites)
-        if blocks is not None:
-            return _cluster(np.concatenate([np.ones(2)] + blocks))
-    _check_eig_dim(2 ** n_sites)
-    return eig_dense(build_global_recursive(local, n_sites).dense)
-
-
-def _recursion_blocks(local: LocalOperator, n_sites: int) -> list[np.ndarray] | None:
-    """Checked eigenvalues of Q_m D_m for m = 1..n-1, or None as soon as a
-    level's block certificate exceeds 1e-12."""
-    shifts = shift_coefficients(local)
-    q = np.eye(2, dtype=complex)
-    blocks = []
+    block = _unit_sums(local)
+    _check_budget(n_sites, 16 * 4 ** n_sites)
+    _check_eig_dim(2 ** (n_sites - 2 if block else n_sites - 1))
+    shifts = np.array(shift_coefficients(local))
+    halves = [np.ones((1, 1), dtype=complex)] * 2  # B_c(1), the halves of Q_1 = I_2
+    eigs = [np.ones(2)]
     for m in range(1, n_sites):
-        big = _recursion_step(local, q)
-        d = np.repeat(shifts, 1 << (m - 1))
-        if block_certificate(big, q, d) > _UNIT_SUM_TOL:
-            return None
-        blocks.append(_eigvals_checked(q * d))
-        q = big
-    return blocks
+        grown = [_recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
+                 for c, b in enumerate(halves)]
+        if block:
+            d = np.repeat(shifts, 1 << (m - 1))
+            gap = max(_certificate_gap(grown[c], halves[c], d[c::2]) for c in (0, 1))
+            block = gap / max(1.0, *(float(np.abs(b).max()) for b in halves)) <= _UNIT_SUM_TOL
+            if block:
+                eigs += [_eigvals_checked(b * d[c::2]) for c, b in enumerate(halves)]
+            else:
+                _check_eig_dim(2 ** (n_sites - 1))
+        halves = grown
+    if not block:
+        eigs = [_eigvals_checked(b) for b in halves]
+    return _cluster(np.concatenate(eigs))
 
 
 def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:

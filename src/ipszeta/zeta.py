@@ -139,10 +139,10 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
-    The eigenvalues come from `spectral.spectrum`: for a table with unit
-    column sums whose recursion levels all certify, from the blocks of
-    det(I - uQ_n) = (1-u)^2 * prod_{m=1}^{n-1} det(I - u Q_m D_m), so the
-    eigensolver cap applies to 2^(n-1); else from the full solve of Q_n.
+    The eigenvalues come from `spectral.spectrum`'s last-site halves: with
+    unit column sums and every recursion level certified, those of the blocks
+    of det(I - uQ_n) = (1-u)^2 * prod_{m=1}^{n-1} det(I - u Q_m D_m), the
+    eigensolver cap on 2^(n-2); else those of Q_n, the cap on 2^(n-1).
     Raises SingularFactor when some eigenvalue satisfies lambda * u = 1.  For
     |u| at or beyond the reciprocal spectral radius a value is still returned
     but the 2^n-th root branch is ambiguous; a warning is emitted.

@@ -9,6 +9,7 @@ from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
 from ipszeta import spectral
 from ipszeta.errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from ipszeta.operators import (
+    _recursion_step,
     build_global_recursive,
     make_local_operator,
     qca_rotation_local,
@@ -83,16 +84,19 @@ def test_eig_dense_residual_and_caps(rng):
 
 
 def test_eig_cap_refuses_before_dense_build(capsys):
-    # at n = 11 the dense operator alone is 64 MiB; each refusal must come first.
-    # DK solves block by block, its largest block 2^(n-1), so it is refused at
-    # n = 12; a GENERAL table takes the full solve and is refused at n = 11.
+    # at n = 12 the dense operator alone is 256 MiB; each refusal must come first.
+    # spectrum and zeta_det solve last-site halves: DK's largest, a half of the
+    # block Q_(n-1) D_(n-1), is 2^(n-2), so it is refused at n = 13; a GENERAL
+    # table solves the halves of Q_n, 2^(n-1), and is refused at n = 12.
     dk = dk_local_operator(DKParams(0.3, 0.6))  # shift family, t = 0.3
     general = random_local_operator("general", np.random.default_rng(0))
     refusals = [
-        lambda: zeta_det(dk, 12, 0.1),
-        lambda: zeta_det(general, 11, 0.1),
+        lambda: zeta_det(dk, 13, 0.1),
+        lambda: zeta_det(general, 12, 0.1),
+        lambda: spectrum(general, 12),
+        lambda: spectrum(large_stochastic(), 12),  # refused where its certificate fails
         lambda: verify_claim("spectral-recursion", [dk], 10),
-        lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "12"]),
+        lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "13"]),
         lambda: main(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.6",
                       "--n", "11"]),
     ]
@@ -361,7 +365,9 @@ def test_last_site_split_power_sums_match_whole_solve(rng):
                 assert err <= 1e-12 * (1 << n) * rho ** r, (key, n, r, err)
 
 
-def test_last_site_split_solves_two_halves(rng, monkeypatch):
+@pytest.fixture
+def eig_shapes(monkeypatch):
+    """Shapes of the matrices handed to np.linalg.eig, in call order."""
     shapes = []
     true_eig = np.linalg.eig
 
@@ -369,17 +375,21 @@ def test_last_site_split_solves_two_halves(rng, monkeypatch):
         shapes.append(a.shape)
         return true_eig(a)
     monkeypatch.setattr(np.linalg, "eig", recording)
+    return shapes
+
+
+def test_last_site_split_solves_two_halves(rng, eig_shapes):
     for loc in split_tables(rng).values():
-        shapes.clear()
+        eig_shapes.clear()
         eig_dense(build_global_recursive(loc, 6).dense)
-        assert shapes == [(32, 32), (32, 32)], loc.label
+        assert eig_shapes == [(32, 32), (32, 32)], loc.label
     # one tiny cross entry: the single full-size solve, as before the split
     q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 6).dense
     q[1, 0] = 1e-300
-    shapes.clear()
+    eig_shapes.clear()
     got = spectral._eigvals_checked(q)
-    assert shapes == [(64, 64)]
-    assert np.array_equal(got, true_eig(q.real)[0])
+    assert eig_shapes == [(64, 64)]
+    assert np.array_equal(got, np.linalg.eig(q.real)[0])
 
 
 def old_from_eigenvalues(eigs, cluster_tol):
@@ -466,14 +476,13 @@ def unit_sum_tables(rng):
             *(random_local_operator(fam, rng) for fam in ("pca", "ca", "complex-stochastic"))]
 
 
-def test_spectrum_power_sums_match_full_solve(rng, monkeypatch):
-    # the block path never builds Q_n whole, so a call of the full build fails it
-    def refuse(*args):
-        raise AssertionError("spectrum fell back to the full solve")
-    monkeypatch.setattr(spectral, "build_global_recursive", refuse)
+def test_spectrum_power_sums_match_full_solve(rng, eig_shapes):
+    # the block path solves halves of the blocks Q_m D_m, m < n, never one of Q_n
     for loc in unit_sum_tables(rng):
         for n in range(2, 9):
+            eig_shapes.clear()
             got = spectrum(loc, n)
+            assert max(eig_shapes) <= (1 << (n - 2),) * 2, (loc.label, n)
             want = eig_dense(build_global_recursive(loc, n).dense)
             assert got.total == 1 << n
             for r in range(1, 9):
@@ -487,19 +496,27 @@ def test_spectrum_single_site(rng):
         assert spec.values.tolist() == [1.0] and spec.multiplicities.tolist() == [2]
 
 
-def test_spectrum_falls_back_bit_identical(rng):
-    # Haar-QCA and GENERAL tables fail the unit-column-sum test at once; a
-    # complex-stochastic table with entries near 1e4 passes it, but its block
-    # certificates fail from n = 4 on, so `_recursion_blocks` gives up
-    cases = [(random_local_operator(fam, rng), n) for fam in ("qca", "general")
-             for n in (2, 5, 7)]
+def large_stochastic():
+    """Complex-stochastic table with entries near 1e4: its columns sum to 1,
+    but its block certificates fail from n = 4 on."""
     m = np.zeros((4, 4), dtype=complex)
     for c in range(4):
         z = 1e4 * (0.6 + 0.8j) * (1 + 0.1 * c)
         m[c % 2, c], m[2 + c % 2, c] = z, 1 - z
-    large = make_local_operator(m, "large-stochastic")
+    return make_local_operator(m, "large-stochastic")
+
+
+def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
+    # Haar-QCA and GENERAL tables fail the unit-column-sum test at once; the
+    # large stochastic table passes it but fails a certificate, so it too
+    # ends in the two halves of Q_n
+    cases = [(random_local_operator(fam, rng), n) for fam in ("qca", "general")
+             for n in (2, 5, 7)]
+    large = large_stochastic()
     for n in (5, 7):
-        assert spectral._unit_sums(large) and spectral._recursion_blocks(large, n) is None
+        eig_shapes.clear()
+        spectrum(large, n)
+        assert spectral._unit_sums(large) and eig_shapes[-2:] == [(1 << (n - 1),) * 2] * 2
         cases.append((large, n))
     for loc, n in cases:
         got = spectrum(loc, n)
@@ -526,3 +543,44 @@ def test_spectrum_cli_n11_fits_default_cap(tmp_path):
     rows = [l.split(",") for l in out.read_text().strip().split("\n")
             if not l.startswith("#")][1:]
     assert sum(int(m) for _, _, m in rows) == 1 << 11
+
+
+def test_spectrum_cli_qca_n11_fits_cap(tmp_path):
+    # a table without unit column sums solves the two halves of Q_11, each
+    # 1024 wide, so the cap admits it
+    out = tmp_path / "s.csv"
+    assert main(["spectrum", "--model", "qca", "--xi", "0.7", "--n", "11",
+                 "--out", str(out)]) == 0
+    rows = [l.split(",") for l in out.read_text().strip().split("\n")
+            if not l.startswith("#")][1:]
+    assert sum(int(m) for _, _, m in rows) == 1 << 11
+
+
+def test_halves_grow_from_the_table_half(rng):
+    # the last site never moves: B_c(m) = Q_m[c::2, c::2] starts at the
+    # table's half M_c and grows by the recursion step, entry for entry
+    tables = [dk_local_operator(DKParams(0.5, 0.75)),
+              *(random_local_operator(fam, rng) for fam in ("general", "qca", "pca"))]
+    for loc in tables:
+        halves = [loc.matrix[c::2, c::2] for c in (0, 1)]
+        for m in range(2, 10):
+            if m > 2:
+                halves = [_recursion_step(loc, b) for b in halves]
+            q = build_global_recursive(loc, m).dense
+            for c, b in enumerate(halves):
+                assert np.array_equal(b, q[c::2, c::2]), (loc.label, m, c)
+
+
+def test_spectrum_peak_within_its_charge():
+    # one dense operator of Q_n: both halves of Q_(n-1) and Q_n, five eighths,
+    # beside a half's eigensolve or the certificate's buffers.  DK takes the
+    # block path, the QCA rotation (column sums cos + sin) solves Q_n's halves
+    n = 9
+    for loc in (dk_local_operator(DKParams(0.5, 0.75)), qca_rotation_local(0.7)):
+        tracemalloc.start()
+        try:
+            spectrum(loc, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 4 ** n, (loc.label, peak)
