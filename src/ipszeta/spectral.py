@@ -287,6 +287,38 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
+def _grow_half(local: LocalOperator, b: np.ndarray, c: int, m: int) -> np.ndarray:
+    """B_c(m+1) from B_c(m): the table's half M_c at m = 1, else one step of
+    the block recursion."""
+    return _recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
+
+
+def _block_eigvals(local: LocalOperator, n_sites: int) -> list | None:
+    """Eigenvalues of {1, 1} and of every block Q_m D_m, m = 1..n-1, solved
+    as its halves B_c(m) (D_m)_c after the level passes its certificate; None
+    as soon as a level fails."""
+    shifts = np.array(shift_coefficients(local))
+    halves = [np.ones((1, 1), dtype=complex)] * 2  # B_c(1), the halves of Q_1 = I_2
+    eigs = [np.ones(2)]
+    for m in range(1, n_sites):
+        grown = [_grow_half(local, b, c, m) for c, b in enumerate(halves)]
+        d = np.repeat(shifts, 1 << (m - 1))
+        gap = max(_certificate_gap(grown[c], halves[c], d[c::2]) for c in (0, 1))
+        if not gap / max(1.0, *(float(np.abs(b).max()) for b in halves)) <= _UNIT_SUM_TOL:
+            return None
+        eigs += [_eigvals_checked(b * d[c::2]) for c, b in enumerate(halves)]
+        halves = grown
+    return eigs
+
+
+def _half_eigvals(local: LocalOperator, n_sites: int, c: int) -> np.ndarray:
+    """Eigenvalues of B_c(n), grown alone: each level replaces the last."""
+    b = np.ones((1, 1), dtype=complex)
+    for m in range(1, n_sites):
+        b = _grow_half(local, b, c, m)
+    return _eigvals_checked(b)
+
+
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     """Spectrum of the n-site global operator, solved as last-site halves.
 
@@ -297,33 +329,22 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     over the halves of Q_m, its gap taken over both halves and scaled by
     max(1, max|Q_m|).  Then Spec(Q_n) = {1, 1} united with Spec(Q_m D_m),
     solved as the halves B_c(m) (D_m)_c, of dimension up to 2^(n-2).  Any
-    other table, or a level that fails, solves B_0(n) and B_1(n), 2^(n-1).
-    The eigensolver cap on that largest half (again when a level fails) and
-    the byte budget of one dense operator of Q_n (the halves of Q_(n-1) and
-    Q_n hold five eighths, a half's eigensolve or the certificate's buffers
-    at most three more) are checked before anything is built.  Each solve
-    is checked as in `eig_dense`, and the union is clustered once.
+    other table, or a level that fails, grows and solves B_0(n), then
+    B_1(n), of dimension 2^(n-1).  The eigensolver cap on that largest half
+    (again when a level fails) and the byte budget of one dense operator of
+    Q_n are checked before anything is built: the block path holds both
+    halves of Q_(n-1) and Q_n, five eighths, beside a half's eigensolve or
+    the certificate's buffers, at most three more; the other path one half
+    of each beside a half's eigensolve.  Each solve is checked as in
+    `eig_dense`, and the union is clustered once.
     """
     block = _unit_sums(local)
     _check_budget(n_sites, 16 * 4 ** n_sites)
     _check_eig_dim(2 ** (n_sites - 2 if block else n_sites - 1))
-    shifts = np.array(shift_coefficients(local))
-    halves = [np.ones((1, 1), dtype=complex)] * 2  # B_c(1), the halves of Q_1 = I_2
-    eigs = [np.ones(2)]
-    for m in range(1, n_sites):
-        grown = [_recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
-                 for c, b in enumerate(halves)]
-        if block:
-            d = np.repeat(shifts, 1 << (m - 1))
-            gap = max(_certificate_gap(grown[c], halves[c], d[c::2]) for c in (0, 1))
-            block = gap / max(1.0, *(float(np.abs(b).max()) for b in halves)) <= _UNIT_SUM_TOL
-            if block:
-                eigs += [_eigvals_checked(b * d[c::2]) for c, b in enumerate(halves)]
-            else:
-                _check_eig_dim(2 ** (n_sites - 1))
-        halves = grown
-    if not block:
-        eigs = [_eigvals_checked(b) for b in halves]
+    eigs = _block_eigvals(local, n_sites) if block else None
+    if eigs is None:
+        _check_eig_dim(2 ** (n_sites - 1))
+        eigs = [_half_eigvals(local, n_sites, c) for c in (0, 1)]
     return _cluster(np.concatenate(eigs))
 
 

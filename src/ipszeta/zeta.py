@@ -28,42 +28,50 @@ _TRACE_BATCH_BYTES = 1 << 22
 def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
                   with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tr(Q^r) for r = 1..r_max, and ||Q^r||_1 if `with_norms`, by sweeping
-    batches of basis columns.
+    batches of paired basis columns.
 
-    The diagonal of each power is accumulated from the swept columns, and the
-    1-norm (largest absolute column sum) is the largest column sum over all
-    batches, so no dense power is ever stored.  Each power is one sweep of
-    ceil((n-1)/2) passes through Q_3 per batch.  A table with zero imaginary
-    part keeps real columns, since their imaginary part stays zero.  A batch
-    holds `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but
-    their time grows with the 4^n entries of each power, so they are admitted
-    where the complex dense operator fits the byte budget.  The r_max-long
-    traces and norms are charged on their own.
+    Q never moves the last site, the least significant bit of the index, so
+    column j of a batch starts as e_(2j) + e_(2j+1) and its images stay
+    apart: Q^r e_(2j) on the even rows, Q^r e_(2j+1) on the odd rows.  The
+    trace takes entries (2j, j) and (2j+1, j) of each power, and the 1-norm
+    (largest absolute column sum) is the largest even-row or odd-row sum
+    over all batches, so no dense power is ever stored.  Each power is one
+    sweep of ceil((n-1)/2) passes through Q_3 per batch, over 2^(n-1)
+    columns in all.  A table with zero imaginary part keeps real columns,
+    since their imaginary part stays zero.  A batch holds
+    `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but their
+    time grows with half the 4^n entries of each power, so they are
+    admitted where the complex dense operator fits the byte budget.  The
+    r_max-long traces and norms are charged on their own.
     """
     _check_budget(n_sites, 16 * 4 ** n_sites)
     if r_max < 1:
         raise ParamOutOfRange("need r_max >= 1")
     _charge(r_max * (24 if with_norms else 16), "r_max=%d" % r_max)
     dim = 1 << n_sites
+    half = dim >> 1
     dtype = _sweep_table(local.matrix).dtype
-    batch = max(1, min(dim, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
+    batch = max(1, min(half, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
     traces = np.zeros(r_max, dtype=complex)
     norms = np.zeros(r_max) if with_norms else None
-    for start in range(0, dim, batch):
-        cols = np.arange(start, min(start + batch, dim))
-        diag = (cols, np.arange(len(cols)))
+    for start in range(0, half, batch):
+        cols = np.arange(start, min(start + batch, half))
+        # row 2j + c of column j, as [j, c, j - start] of the (half, 2, width) view
+        diag = (cols, slice(None), np.arange(len(cols)))
         states = np.zeros((dim, len(cols)), dtype=dtype)
-        states[diag] = 1.0
+        states.reshape(half, 2, -1)[diag] = 1.0
         for r in range(r_max):
             states = _sweep_2d(local.matrix, n_sites, states)
-            traces[r] += states[diag].sum()
+            paired = states.reshape(half, 2, -1)
+            traces[r] += paired[diag].sum()
             if with_norms:
-                norms[r] = max(norms[r], np.abs(states).sum(axis=0).max())
+                norms[r] = max(norms[r], np.abs(paired).sum(axis=0).max())
     return traces, norms
 
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
-    """C_1..C_rmax with C_r = tr(Q^r)/2^n, by sweeping batches of basis columns.
+    """C_1..C_rmax with C_r = tr(Q^r)/2^n, by sweeping batches of paired
+    basis columns e_(2j) + e_(2j+1), 2^(n-1) of them per power.
 
     The diagonal of each power is accumulated from matrix-free applications,
     so no dense power is ever stored.
@@ -107,16 +115,19 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
     from the computed 1-norms of Q, ..., Q^r_max.
 
     Each computed norm is raised by its first-order rounding allowance.  The
-    sweep of a column makes k*ceil((n-1)/2) passes.  A pass through Q_3 sums
-    at most 4 nonzero products per output, each with one entry of Q_3, a
-    single rounded product of two table entries: it errs by at most
-    sqrt(2)(gamma_2 + gamma_6) < 6 eps relative to |Q_3| (unit roundoff
-    eps/2), under the 16 eps allowed its two pair products, and a last pass
-    by the table alone by under 8 eps.  So 8 eps k(n-1) still bounds the
+    sweep of a paired column makes k*ceil((n-1)/2) passes; its even and odd
+    rows never mix, so the other parity adds only exact zero products.  A
+    pass through Q_3 sums at most 4 nonzero products per output, each with
+    one entry of Q_3, a single rounded product of two table entries: it
+    errs by at most sqrt(2)(gamma_2 + gamma_6) < 6 eps relative to |Q_3|
+    (unit roundoff eps/2), under the 16 eps allowed its two pair products,
+    and a last pass by the table alone by under 8 eps.  So 8 eps k(n-1) still bounds the
     error relative to |Q|^k, and || |Q|^k ||_1 <= ||Q||_1^k; the computed
     ||Q||_1 itself is accurate, since every entry of Q is a single product
-    of table entries.  A column sum of 2^n terms errs by at most 2^n eps
-    relative.  n = 1 gives 1.
+    of table entries.  A column sum runs over the even or the odd rows of a
+    paired column, 2^(n-1) terms, and errs by at most 2^(n-1) eps relative;
+    `grow` keeps the allowance of 2^n terms, which still bounds it.  n = 1
+    gives 1.
     """
     if n_sites == 1:
         return 1.0

@@ -54,7 +54,8 @@ def test_trace_cap():
 
 
 def test_default_trace_batch_is_byte_budget(rng, monkeypatch):
-    # n = 11: the 4 MiB default sweeps 256 real or 128 complex columns at a time
+    # n = 11: the 4 MiB default sweeps 256 real or 128 complex paired columns
+    # e_2j + e_(2j+1) at a time, of the 1024 pairs; 1000 a batch leaves 24
     n, r_max = 11, 3
     for loc, cols, itemsize in ((dk_local_operator(DKParams(0.5, 0.75)), 256, 8),
                                 (random_local_operator("general", rng), 128, 16)):
@@ -65,6 +66,42 @@ def test_default_trace_batch_is_byte_budget(rng, monkeypatch):
             m.setattr(zeta, "_TRACE_BATCH_BYTES", 1000 * (1 << n) * itemsize)
             other = power_trace_coefficients(loc, n, r_max)
         assert np.allclose(default, other, rtol=1e-12, atol=1e-12 * np.abs(other).max())
+
+
+def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
+    # the last site never moves, so a power sweeps the 2^(n-1) paired columns
+    # e_2j + e_(2j+1) through the unchanged kernel, not all 2^n basis columns
+    widths = []
+    sweep = zeta._sweep_2d
+
+    def recorded(matrix4, n_sites, states):
+        widths.append(states.shape[1])
+        return sweep(matrix4, n_sites, states)
+
+    monkeypatch.setattr(zeta, "_sweep_2d", recorded)
+    r_max = 3
+    for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
+        for n in (1, 2, 5, 11):
+            widths.clear()
+            zeta_log_series(loc, n, r_max)
+            # batch after batch, each swept once per power
+            assert [sum(widths[r::r_max]) for r in range(r_max)] == [1 << (n - 1)] * r_max, \
+                (loc.label, n, widths)
+
+
+def test_sweep_norms_match_dense_powers(rng):
+    # ||Q^k||_1, the largest absolute column sum, against the oracle's powers
+    tables = [dk_local_operator(DKParams(0.45, 0.8)), qca_rotation_local(0.9),
+              random_local_operator("general", rng), random_local_operator("pca", rng)]
+    for loc in tables:
+        for n in (1, 2, 3, 6):
+            _, norms = zeta._trace_sweeps(loc, n, 6, with_norms=True)
+            g = oracle_global(loc, n)
+            power = np.eye(1 << n)
+            for k in range(1, 7):
+                power = g @ power
+                ref = np.abs(power).sum(axis=0).max()
+                assert abs(norms[k - 1] - ref) <= 1e-12 * ref, (loc.label, n, k)
 
 
 def test_xor_rule_return_rates():
