@@ -50,10 +50,15 @@ _EXIT_CODES = {SizeCapExceeded: 3, NoConvergence: 3, NoBracket: 1}
 
 
 def _parse_complex(text: str) -> complex:
+    """A finite complex number from "x", "x+yj" or "x,y"."""
     if "," in text:
         re_s, im_s = text.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(text.replace(" ", ""))
+        z = complex(float(re_s), float(im_s))
+    else:
+        z = complex(text.replace(" ", ""))
+    if not np.isfinite(z):
+        raise ValueError("--u %r is not a finite number" % (text,))
+    return z
 
 
 def _write(out: str | None, text: str):
@@ -129,9 +134,9 @@ def cmd_zeta(args, parser) -> int:
     local, n, label = _resolve_local(args, parser)
     meta = _base_meta("zeta", label, n)
     meta["r_max"] = args.rmax
+    u = None if args.u is None else _parse_complex(args.u)
     series = zeta_log_series(local, n, args.rmax)
-    if args.u is not None:
-        u = _parse_complex(args.u)
+    if u is not None:
         log_z = series.evaluate(u)
         _write(args.out, zeta_eval_json(n, u, log_z, np.exp(log_z),
                                         series.truncation_bound(u), meta))

@@ -62,6 +62,9 @@ class LocalOperator:
             m = m.reshape(4, 4)
         if m.shape != (4, 4):
             raise ValueError("local operator needs a 4x4 (or flat 16) table, got %r" % (m.shape,))
+        if not np.isfinite(m).all():
+            raise ValueError("local operator entries must be finite, got %r"
+                             % complex(m[~np.isfinite(m)][0]))
         for r, c in np.argwhere(~_ALLOWED_MASK):
             if m[r, c] != 0:
                 raise SparsityViolation(r // 2, r % 2, c // 2, c % 2, m[r, c])

@@ -4,8 +4,9 @@ closed-form traces and eigenvalue histograms.
 
 A global operator never moves its last site, the least significant bit of
 its index, so Q_m is the direct sum of its halves Q_m[c::2, c::2].  `spectrum`
-grows and solves the halves alone; any other dense solve splits a matrix
-whose even/odd cross blocks are exactly zero into its two halves.
+runs the certified spectral recursion in each half alone; any other dense
+solve splits a matrix whose even/odd cross blocks are exactly zero into its
+two halves.
 
 Eigenvalue multisets are kept as (value, multiplicity) pairs.  Comparisons
 use greedy nearest-neighbour matching at an explicit tolerance, since
@@ -38,8 +39,8 @@ _RESIDUAL_SAMPLES = 8
 _RESIDUAL_TOL = 1e-8
 _CLUSTER_REL = 1e-6
 
-# How far column sums and block certificates may sit from exact for
-# `spectrum` to solve block by block
+# How far a half's block certificate may sit from exact for `spectrum` to
+# solve that half block by block, and column sums from 1 for `_unit_sums`
 _UNIT_SUM_TOL = 1e-12
 
 
@@ -287,65 +288,56 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def _grow_half(local: LocalOperator, b: np.ndarray, c: int, m: int) -> np.ndarray:
-    """B_c(m+1) from B_c(m): the table's half M_c at m = 1, else one step of
-    the block recursion."""
-    return _recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
-
-
-def _block_eigvals(local: LocalOperator, n_sites: int) -> list | None:
-    """Eigenvalues of {1, 1} and of every block Q_m D_m, m = 1..n-1, solved
-    as its halves B_c(m) (D_m)_c after the level passes its certificate; None
-    as soon as a level fails."""
-    shifts = np.array(shift_coefficients(local))
-    halves = [np.ones((1, 1), dtype=complex)] * 2  # B_c(1), the halves of Q_1 = I_2
-    eigs = [np.ones(2)]
-    for m in range(1, n_sites):
-        grown = [_grow_half(local, b, c, m) for c, b in enumerate(halves)]
-        d = np.repeat(shifts, 1 << (m - 1))
-        gap = max(_certificate_gap(grown[c], halves[c], d[c::2]) for c in (0, 1))
-        if not gap / max(1.0, *(float(np.abs(b).max()) for b in halves)) <= _UNIT_SUM_TOL:
-            return None
-        eigs += [_eigvals_checked(b * d[c::2]) for c, b in enumerate(halves)]
-        halves = grown
-    return eigs
-
-
 def _half_eigvals(local: LocalOperator, n_sites: int, c: int) -> np.ndarray:
-    """Eigenvalues of B_c(n), grown alone: each level replaces the last."""
+    """Eigenvalues of the last-site half B_c(n) = Q_n[c::2, c::2], grown one
+    site at a time from B_c(1) = [1] and B_c(2) = M_c by the block recursion.
+
+    While every level m = 1..n-1 passes this half's `block_certificate`
+    within 1e-12 against (D_m)_c, Spec B_c(n) is {1} united with
+    Spec B_c(m) (D_m)_c, each block solved once its level is proven.  At the
+    first level that fails, the cap on 2^(n-1) is checked, the blocks'
+    eigenvalues are dropped, and B_c(n) is grown on and solved.
+    """
+    shifts = np.array(shift_coefficients(local))
     b = np.ones((1, 1), dtype=complex)
+    eigs = [np.ones(1)]
     for m in range(1, n_sites):
-        b = _grow_half(local, b, c, m)
+        grown = _recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
+        d = np.repeat(shifts, 1 << (m - 1))[c::2]
+        if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
+            break
+        eigs.append(_eigvals_checked(b * d))
+        b = grown
+    else:
+        return np.concatenate(eigs)
+    _check_eig_dim(2 ** (n_sites - 1))
+    b = grown
+    for _ in range(m + 1, n_sites):
+        b = _recursion_step(local, b)
     return _eigvals_checked(b)
 
 
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
-    """Spectrum of the n-site global operator, solved as last-site halves.
+    """Spectrum of the n-site global operator, solved as its last-site halves.
 
-    The halves B_c(m) = Q_m[c::2, c::2] are grown from the table's halves
-    B_c(2) = M_c one site at a time; Q_m itself is never formed.  With unit
-    column sums (each within 1e-12) every level m = 1..n-1 must pass the
-    block certificate within 1e-12 against D_m, the two column-block shifts
-    over the halves of Q_m, its gap taken over both halves and scaled by
-    max(1, max|Q_m|).  Then Spec(Q_n) = {1, 1} united with Spec(Q_m D_m),
-    solved as the halves B_c(m) (D_m)_c, of dimension up to 2^(n-2).  Any
-    other table, or a level that fails, grows and solves B_0(n), then
-    B_1(n), of dimension 2^(n-1).  The eigensolver cap on that largest half
-    (again when a level fails) and the byte budget of one dense operator of
-    Q_n are checked before anything is built: the block path holds both
-    halves of Q_(n-1) and Q_n, five eighths, beside a half's eigensolve or
-    the certificate's buffers, at most three more; the other path one half
-    of each beside a half's eigensolve.  Each solve is checked as in
-    `eig_dense`, and the union is clustered once.
+    Site n-1 never moves, so Q_n is the direct sum of its halves B_c(n) =
+    Q_n[c::2, c::2], and the paper's spectral recursion holds in each half on
+    its own: Spec B_c(n) = {1} united with Spec B_c(m) (D_m)_c for m < n,
+    D_m the two column-block shifts over the halves of Q_m, wherever every
+    level passes that half's block certificate.  Each half is grown and
+    certified alone and solved by its blocks, of dimension up to 2^(n-2), or
+    whole, of dimension 2^(n-1), from its first level that fails (see
+    `_half_eigvals`); Q_n itself is never formed.  The byte budget of one
+    dense operator of Q_n and the eigensolver cap on 2^(n-2) are checked
+    before anything is built, the cap on 2^(n-1) when a level fails.  One
+    half is held at a time: B_c(n-1) and B_c(n), five sixteenths, beside a
+    block's eigensolve or the certificate's buffers; or one B_c(n) beside its
+    eigensolve.  Each solve is checked as in `eig_dense`, and the union of
+    both halves is clustered once.
     """
-    block = _unit_sums(local)
     _check_budget(n_sites, 16 * 4 ** n_sites)
-    _check_eig_dim(2 ** (n_sites - 2 if block else n_sites - 1))
-    eigs = _block_eigvals(local, n_sites) if block else None
-    if eigs is None:
-        _check_eig_dim(2 ** (n_sites - 1))
-        eigs = [_half_eigvals(local, n_sites, c) for c in (0, 1)]
-    return _cluster(np.concatenate(eigs))
+    _check_eig_dim(2 ** (n_sites - 2))
+    return _cluster(np.concatenate([_half_eigvals(local, n_sites, c) for c in (0, 1)]))
 
 
 def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:

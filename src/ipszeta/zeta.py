@@ -150,10 +150,10 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
-    The eigenvalues come from `spectral.spectrum`'s last-site halves: with
-    unit column sums and every recursion level certified, those of the blocks
-    of det(I - uQ_n) = (1-u)^2 * prod_{m=1}^{n-1} det(I - u Q_m D_m), the
-    eigensolver cap on 2^(n-2); else those of Q_n, the cap on 2^(n-1).
+    The eigenvalues come from `spectral.spectrum`'s last-site halves: in a
+    half whose every recursion level is certified, those of its blocks,
+    det(I - uB_c(n)) = (1-u) * prod_{m=1}^{n-1} det(I - u B_c(m) (D_m)_c),
+    the eigensolver cap on 2^(n-2); else those of B_c(n), the cap on 2^(n-1).
     Raises SingularFactor when some eigenvalue satisfies lambda * u = 1.  For
     |u| at or beyond the reciprocal spectral radius a value is still returned
     but the 2^n-th root branch is ambiguous; a warning is emitted.

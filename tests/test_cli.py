@@ -246,8 +246,14 @@ def test_param_error_exit_code(capsys):
     (["op", "build", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "-1"], None),
     (["op", "build", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "2",
       "--out", "{missing}"], None),
+    # non-finite table entries and evaluation points
+    (["spectrum", "--model", "qca", "--xi", "nan", "--n", "3"], None),
+    (["zeta", "--model", "qca", "--xi", "inf", "--n", "3", "--rmax", "3"], None),
+    (["zeta", "--model", "custom", "--file", "{file}", "--rmax", "3"],
+     '{"n": 3, "local": {"a_kl_ij": [[NaN, 0]' + ', [0, 0]' * 15 + ']}}'),
+    (["zeta", "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3", "--u", "nan"], None),
 ], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
-        "out-dir-missing"])
+        "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan"])
 def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     # inputs from outside the program are usage or parameter errors, never tracebacks
     path = tmp_path / "op.json"

@@ -26,7 +26,6 @@ from ipszeta.operators import (
 from ipszeta import operators, zeta
 from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_local_operator
-from ipszeta.spectral import spectrum
 
 from conftest import oracle_global
 
@@ -344,22 +343,6 @@ def test_dense_verify_whole_peak(claim, charged, rng):
         finally:
             tracemalloc.stop()
         assert peak <= charged * 16 * 4 ** n + (512 << 10), (loc.label, peak)
-
-
-def test_spectrum_whole_peak(rng):
-    # the block path holds Q_(n-1), Q_n and the block certificate's one
-    # difference buffer beside Q_(n-1) D, 2.25 dense operators of Q_n, the
-    # charge it is admitted under; a GENERAL table takes the full solve below
-    # that
-    n = 9
-    for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
-        tracemalloc.start()
-        try:
-            spectrum(loc, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * 16 * 4 ** n + (512 << 10), (loc.label, peak)
 
 
 def test_matrix_free_matches_oracle_per_table_kind(rng):

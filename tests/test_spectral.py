@@ -28,7 +28,7 @@ from ipszeta.spectral import (
     trace_closed_form,
     trace_path_sum,
 )
-from ipszeta.zeta import zeta_det
+from ipszeta.zeta import power_trace_coefficients, zeta_det
 
 from conftest import oracle_global
 
@@ -506,23 +506,49 @@ def large_stochastic():
     return make_local_operator(m, "large-stochastic")
 
 
+def half_unit_sums():
+    """DK table with the columns of half 1 scaled by 0.9: the columns of half
+    0 sum to 1, those of half 1 to 0.9."""
+    m = dk_local_operator(DKParams(0.5, 0.75)).matrix.copy()
+    m[:, 1::2] *= 0.9
+    return make_local_operator(m, "half-unit-sums")
+
+
 def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
-    # Haar-QCA and GENERAL tables fail the unit-column-sum test at once; the
-    # large stochastic table passes it but fails a certificate, so it too
-    # ends in the two halves of Q_n
+    # Haar-QCA and GENERAL tables fail each half's first certificate, on its
+    # column sums; the large stochastic table passes those but fails a later
+    # level in both halves, so each half ends in one solve of B_c(n).  Half 0
+    # of the half-unit-sums table passes its first certificate, but from
+    # level 2 on all four columns enter, so it too is solved whole
     cases = [(random_local_operator(fam, rng), n) for fam in ("qca", "general")
              for n in (2, 5, 7)]
     large = large_stochastic()
     for n in (5, 7):
         eig_shapes.clear()
         spectrum(large, n)
-        assert spectral._unit_sums(large) and eig_shapes[-2:] == [(1 << (n - 1),) * 2] * 2
+        assert spectral._unit_sums(large) and eig_shapes.count((1 << (n - 1),) * 2) == 2
         cases.append((large, n))
+    mixed = half_unit_sums()
+    sums = mixed.column_sums()
+    assert np.array_equal(sums[0::2], [1, 1]) and np.abs(sums[1::2] - 1).min() > 0.05
+    cases += [(mixed, 4), (mixed, 6)]
     for loc, n in cases:
         got = spectrum(loc, n)
         want = eig_dense(build_global_recursive(loc, n).dense)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.multiplicities, want.multiplicities)
+        assert np.array_equal(got.values, want.values), (loc.label, n)
+        assert np.array_equal(got.multiplicities, want.multiplicities), (loc.label, n)
+
+
+def test_spectrum_one_half_by_blocks(eig_shapes):
+    # at n = 4 half 0 of the large stochastic table fails its level-3
+    # certificate and half 1 passes every level: one 8 x 8 solve, of B_0(4),
+    # and blocks for half 1; power sums agree with the swept traces
+    large, n = large_stochastic(), 4
+    got = spectrum(large, n)
+    assert eig_shapes.count((8, 8)) == 1 and got.total == 1 << n
+    traces = power_trace_coefficients(large, n, 8) * (1 << n)
+    for r in range(1, 9):
+        assert abs(got.moment(r) - traces[r - 1]) <= 1e-8 * max(1.0, abs(traces[r - 1])), r
 
 
 def test_spectrum_shift_family_no_worse_than_full_solve():
@@ -571,14 +597,17 @@ def test_halves_grow_from_the_table_half(rng):
                 assert np.array_equal(b, q[c::2, c::2]), (loc.label, m, c)
 
 
-def test_spectrum_peak_within_its_charge():
-    # one dense operator of Q_n.  DK takes the block path: both halves of
-    # Q_(n-1) and Q_n, five eighths, beside a half's eigensolve or the
-    # certificate's buffers.  The QCA rotation (column sums cos + sin) grows
-    # and solves one half of Q_n at a time, traced at 0.627 operators
+def test_spectrum_peak_within_its_charge(rng):
+    # charged one dense operator of Q_n, traced well below.  DK is solved by
+    # blocks one half at a time: B_c(n-1) and B_c(n), five sixteenths,
+    # beside a block's eigensolve or the certificate's buffers, traced at
+    # 0.473 operators.  The QCA rotation (column sums cos + sin) and a
+    # GENERAL table grow and solve one half of Q_n at a time, traced at
+    # 0.627 and 0.542
     n = 9
-    for loc, charge in ((dk_local_operator(DKParams(0.5, 0.75)), 1.0),
-                        (qca_rotation_local(0.7), 0.64)):
+    for loc, charge in ((dk_local_operator(DKParams(0.5, 0.75)), 0.5),
+                        (qca_rotation_local(0.7), 0.64),
+                        (random_local_operator("general", rng), 0.56)):
         tracemalloc.start()
         try:
             spectrum(loc, n)
