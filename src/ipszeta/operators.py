@@ -101,8 +101,10 @@ def qca_rotation_local(xi: float) -> LocalOperator:
     """Rotation-type unitary local operator with angle xi.
 
     Both column blocks hold the same planar rotation, so the operator is
-    unitary for every xi and reduces to the identity at xi = 0.
+    unitary for every finite xi and reduces to the identity at xi = 0.
     """
+    if not np.isfinite(xi):
+        raise ParamOutOfRange("xi=%r must be finite" % (xi,))
     c, s = np.cos(xi), np.sin(xi)
     m = np.array(
         [

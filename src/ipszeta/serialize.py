@@ -1,7 +1,10 @@
 """File formats: operator JSON, spectrum/histogram/coefficient CSV, reports.
 
-CSV files carry '# key=value' metadata lines before the header row.  All
-numbers are written with repr so identical inputs produce identical bytes.
+Each format has one writer.  `_csv` lays out every CSV: '# key=value'
+metadata lines, the header row, then the data rows.  `dump_json` writes
+every JSON payload through `json.dumps`, with `_plain` turning complex
+numbers into [re, im] and numpy values into Python ones.  All floats are
+written with repr, so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -19,26 +22,16 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def meta_lines(meta: dict) -> list[str]:
-    return ["# %s=%s" % (k, v) for k, v in meta.items()]
-
-
-def _jsonable(x):
+def _plain(x):
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError("Object of type %s is not JSON serializable" % type(x).__name__)
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(_jsonable(obj), indent=2) + "\n"
+    return json.dumps(obj, indent=2, default=_plain) + "\n"
 
 
 # --- operator JSON ----------------------------------------------------------
@@ -73,62 +66,48 @@ def operator_from_json(text: str):
 # --- CSV writers ------------------------------------------------------------
 
 
+def _csv(meta: dict, header: str, rows) -> str:
+    return "\n".join([*("# %s=%s" % kv for kv in meta.items()), header, *rows]) + "\n"
+
+
 def spectrum_csv(spec, meta: dict) -> str:
-    lines = meta_lines(meta) + ["re,im,multiplicity"]
-    for v, m in zip(spec.values, spec.multiplicities):
-        lines.append("%s,%s,%d" % (_fmt(v.real), _fmt(v.imag), m))
-    return "\n".join(lines) + "\n"
+    return _csv(meta, "re,im,multiplicity", (
+        "%r,%r,%d" % (v.real, v.imag, m)
+        for v, m in zip(spec.values.tolist(), spec.multiplicities.tolist())))
 
 
 def histogram_csv(grid, meta: dict) -> str:
-    full = dict(meta)
-    full.update({
-        "bin_size": _fmt(grid.bin_size),
-        "low": _fmt(grid.low),
-        "high": _fmt(grid.high),
-        "n_bins": grid.n_bins,
-        "overflow": grid.overflow,
-        "total": grid.total,
-    })
-    lines = meta_lines(full) + ["re_low,im_low,count"]
+    meta = {**meta, "bin_size": _fmt(grid.bin_size), "low": _fmt(grid.low),
+            "high": _fmt(grid.high), "n_bins": grid.n_bins, "overflow": grid.overflow,
+            "total": grid.total}
     # argwhere visits the nonzero bins in the C order of the nested loop
-    for ix, iy in np.argwhere(grid.counts).tolist():
-        lines.append("%s,%s,%d" % (_fmt(grid.low + ix * grid.bin_size),
-                                   _fmt(grid.low + iy * grid.bin_size), grid.counts[ix, iy]))
-    return "\n".join(lines) + "\n"
+    return _csv(meta, "re_low,im_low,count", (
+        "%s,%s,%d" % (_fmt(grid.low + ix * grid.bin_size), _fmt(grid.low + iy * grid.bin_size),
+                      grid.counts[ix, iy])
+        for ix, iy in np.argwhere(grid.counts).tolist()))
 
 
 def coefficients_csv(coeffs, meta: dict) -> str:
-    lines = meta_lines(meta) + ["r,C_r_re,C_r_im"]
-    for r, c in enumerate(np.asarray(coeffs, dtype=complex), start=1):
-        lines.append("%d,%s,%s" % (r, _fmt(c.real), _fmt(c.imag)))
-    return "\n".join(lines) + "\n"
+    return _csv(meta, "r,C_r_re,C_r_im", (
+        "%d,%r,%r" % (r, c.real, c.imag)
+        for r, c in enumerate(np.asarray(coeffs, dtype=complex).tolist(), start=1)))
 
 
 def dense_csv(matrix, meta: dict) -> str:
     """Nonzero entries of a dense matrix as 'row,col,re,im'."""
     a = np.asarray(matrix, dtype=complex)
-    lines = meta_lines(meta) + ["row,col,re,im"]
     rows, cols = np.nonzero(a)
-    for r, c in zip(rows, cols):
-        z = a[r, c]
-        lines.append("%d,%d,%s,%s" % (r, c, _fmt(z.real), _fmt(z.imag)))
-    return "\n".join(lines) + "\n"
+    return _csv(meta, "row,col,re,im", (
+        "%d,%d,%r,%r" % (r, c, z.real, z.imag)
+        for r, c, z in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())))
 
 
 def scan_csv(result, meta: dict) -> str:
-    full = dict(meta)
-    full.update({
-        "q": _fmt(result.q),
-        "threshold": _fmt(result.threshold),
-        "bracket_low": _fmt(result.bracket[0]),
-        "bracket_high": _fmt(result.bracket[1]),
-    })
-    lines = meta_lines(full) + ["p,estimate,ci_lo,ci_hi,label"]
-    for pt, label in zip(result.points, result.labels):
-        lines.append("%s,%s,%s,%s,%s" % (_fmt(pt.p), _fmt(pt.estimate),
-                                         _fmt(pt.ci[0]), _fmt(pt.ci[1]), label))
-    return "\n".join(lines) + "\n"
+    meta = {**meta, "q": _fmt(result.q), "threshold": _fmt(result.threshold),
+            "bracket_low": _fmt(result.bracket[0]), "bracket_high": _fmt(result.bracket[1])}
+    return _csv(meta, "p,estimate,ci_lo,ci_hi,label", (
+        "%s,%s,%s,%s,%s" % (_fmt(pt.p), _fmt(pt.estimate), _fmt(pt.ci[0]), _fmt(pt.ci[1]), label)
+        for pt, label in zip(result.points, result.labels)))
 
 
 # --- JSON payloads ----------------------------------------------------------

@@ -253,9 +253,17 @@ def shift_coefficients(local: LocalOperator) -> tuple[complex, complex]:
     return complex(a[2, 2] - a[2, 0]), complex(a[3, 3] - a[3, 1])
 
 
-def _certificate_gap(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
-    """`block_certificate` before its division by max(1, max|Q_n|); the three
-    differences are formed one after another in one quadrant buffer."""
+def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
+    """Relative residual of the one-site block similarity of Q_{n+1}.
+
+    With quadrants (E, F, G, H) of Q_{n+1} and S = [[I, I], [0, I]] on site 0,
+    S Q_{n+1} S^-1 = [[E+G, F+H-E-G], [G, H-G]].  When E+G = F+H = Q_n and
+    H-G = Q_n D this is block lower triangular, which proves
+    Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
+    diagonal of D (or one scalar).  Returns the largest entry of
+    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|); the
+    three differences are formed one after another in one quadrant buffer.
+    """
     h = q_big.shape[0] // 2
     e, f = q_big[:h, :h], q_big[:h, h:]
     g, hh = q_big[h:, :h], q_big[h:, h:]
@@ -267,20 +275,8 @@ def _certificate_gap(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     worst = max(worst, float(np.abs(s).max()))
     np.subtract(hh, g, out=s)
     s -= q_small * d
-    return max(worst, float(np.abs(s).max()))
-
-
-def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
-    """Relative residual of the one-site block similarity of Q_{n+1}.
-
-    With quadrants (E, F, G, H) of Q_{n+1} and S = [[I, I], [0, I]] on site 0,
-    S Q_{n+1} S^-1 = [[E+G, F+H-E-G], [G, H-G]].  When E+G = F+H = Q_n and
-    H-G = Q_n D this is block lower triangular, which proves
-    Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
-    diagonal of D (or one scalar).  Returns the largest entry of
-    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|).
-    """
-    return _certificate_gap(q_big, q_small, d) / max(1.0, float(np.abs(q_small).max()))
+    worst = max(worst, float(np.abs(s).max()))
+    return worst / max(1.0, float(np.abs(q_small).max()))
 
 
 def _unit_sums(local: LocalOperator) -> bool:

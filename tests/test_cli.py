@@ -1,6 +1,8 @@
 import json
 import shlex
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,10 @@ from ipszeta.serialize import operator_from_json
 
 def run(argv):
     return main(argv)
+
+
+def _warning_to_stderr(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
 
 
 def test_op_build_json_roundtrip(tmp_path):
@@ -260,14 +266,21 @@ def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     if file_text is not None:
         path.write_text(file_text)
     argv = [a.format(file=path, missing=tmp_path / "missing-dir" / "x.csv") for a in argv]
-    try:
-        code = run(argv)
-    except SystemExit as exc:
-        code = exc.code
+    with warnings.catch_warnings():
+        # show warnings on stderr, as a shell user of the CLI would see them
+        warnings.simplefilter("always")
+        warnings.showwarning = _warning_to_stderr
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert "error:" in err or "usage:" in err
     assert "Traceback" not in err
+    assert "Warning" not in err
+    if "--xi" in argv:
+        assert "xi=" in err
 
 
 @pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("5e-324", 3), ("inf", 2)])
