@@ -28,6 +28,8 @@ from .operators import (
 from .spectral import (
     SpectrumMultiset,
     _check_eig_dim,
+    _derived_halves,
+    _spectrum_eigvals,
     _unit_sums,
     block_certificate,
     eig_dense,
@@ -83,6 +85,10 @@ def _every_table(local: LocalOperator) -> bool:
 def _t_family(local: LocalOperator) -> bool:
     t0, t1 = shift_coefficients(local)
     return _unit_sums(local) and abs(t0 - t1) <= _DOMAIN_TOL
+
+
+def _derivable(local: LocalOperator) -> bool:
+    return any(_derived_halves(local))
 
 
 def _rotation_angle(local: LocalOperator) -> float:
@@ -181,6 +187,19 @@ def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
                                          "coefficient_error": error}
 
 
+def _check_derived_halves(local: LocalOperator, n_sites: int, r_max: int):
+    """Power sums r = 1..r_max of the eigenvalues `spectrum` derives from
+    the half tables against those of `eig_dense` on the dense Q_n, relative
+    to max(1, sum |lambda|^r) of the latter."""
+    _check_eig_dim(2 ** n_sites)
+    got = _spectrum_eigvals(local, n_sites)
+    want = eig_dense(build_global_recursive(local, n_sites).dense)
+    r = np.arange(1, r_max + 1)[:, None]
+    diff = np.abs((got ** r).sum(axis=1) - (want.multiplicities * want.values ** r).sum(axis=1))
+    scale = np.maximum(1.0, (want.multiplicities * np.abs(want.values) ** r).sum(axis=1))
+    return float((diff / scale).max()), {}
+
+
 def _check_rotation(local: LocalOperator, n_sites: int, r_max: int):
     """C_r = (cos r xi)^(n-1) for r = 1..r_max, absolute error."""
     coeffs = power_trace_coefficients(local, n_sites, r_max)
@@ -197,6 +216,8 @@ CLAIMS: dict[str, Claim] = {
     "spectral-recursion": Claim(_UNIT_SUMS, _unit_sums, _check_spectral_recursion, 1e-7),
     "t-family": Claim(_UNIT_SUMS + " with equal column-block shifts", _t_family,
                       _check_t_family, 1e-7),
+    "derived-halves": Claim("a half table with an exact zero off its diagonal, or equal half "
+                            "tables", _derivable, _check_derived_halves, 1e-10),
     "qca-rotation": Claim("the rotation table", _rotation, _check_rotation, 1e-9),
 }
 

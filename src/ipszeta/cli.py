@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .claims import CLAIMS, verify_claim
 from .dk import RNG_NAME, DKParams, dk_local_operator, estimate_survival, scan_critical
-from .errors import IpsZetaError, NoBracket, NoConvergence, SizeCapExceeded
+from .errors import IpsZetaError, NoBracket, NoConvergence, ParamOutOfRange, SizeCapExceeded
 from .operators import (
     LocalOperator,
     _charge,
@@ -137,9 +137,12 @@ def cmd_zeta(args, parser) -> int:
     u = None if args.u is None else _parse_complex(args.u)
     series = zeta_log_series(local, n, args.rmax)
     if u is not None:
+        bound = series.truncation_bound(u)
+        if bound is None:
+            raise ParamOutOfRange("--u %s lies outside the disk |u| < %r, where the truncated "
+                                  "series has a certified tail bound" % (args.u, series.radius_hint))
         log_z = series.evaluate(u)
-        _write(args.out, zeta_eval_json(n, u, log_z, np.exp(log_z),
-                                        series.truncation_bound(u), meta))
+        _write(args.out, zeta_eval_json(n, u, log_z, np.exp(log_z), bound, meta))
     else:
         _write(args.out, coefficients_csv(series.coefficients, meta))
     return 0

@@ -244,20 +244,30 @@ def _sweep_table(matrix4: np.ndarray) -> np.ndarray:
     return matrix4 if matrix4.imag.any() else matrix4.real
 
 
-def _sweep_2d(matrix4: np.ndarray, n_sites: int, states: np.ndarray) -> np.ndarray:
-    """Apply the global operator to a C-contiguous (2**n, b) batch of column
-    states.  `states` is never written; for n >= 2 the result is a new array.
-
-    The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
-    as the same 8x8 block Q_3 (the per-pair product applied to the identity),
-    which multiplies the 8-row blocks of the batch reshaped to (2**j, 8, rest).
-    When n-1 is odd the table itself takes the last pair, so a sweep makes
-    ceil((n-1)/2) passes.  A real table sweeps complex states as their
-    interleaved float64 view, which the real factors act on entrywise.
-    """
+def _sweep_blocks(matrix4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks a sweep multiplies by: the table as `_sweep_table`
+    gives it and the 8x8 three-site block Q_3 (the per-pair product applied
+    to the identity).  Build them once for every sweep by the same table."""
     a = _sweep_table(matrix4)
     eye = np.eye(8, dtype=a.dtype)
     q3 = np.matmul(a, np.matmul(a, eye.reshape(1, 4, 16)).reshape(2, 4, 8)).reshape(8, 8)
+    return a, q3
+
+
+def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int,
+              states: np.ndarray) -> np.ndarray:
+    """Apply the global operator to a C-contiguous (2**n, b) batch of column
+    states, given its `_sweep_blocks`.  `states` is never written; for n >= 2
+    the result is a new array.
+
+    The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
+    as the same block Q_3, which multiplies the 8-row blocks of the batch
+    reshaped to (2**j, 8, rest).  When n-1 is odd the table itself takes the
+    last pair, so a sweep makes ceil((n-1)/2) passes.  A real table sweeps
+    complex states as their interleaved float64 view, which the real factors
+    act on entrywise.
+    """
+    a, q3 = blocks
     out = states
     as_real = np.isrealobj(a) and np.iscomplexobj(states)
     if as_real:
@@ -284,7 +294,7 @@ def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=complex)
     if n_sites == 1:
         return v.copy()
-    return _sweep_2d(local.matrix, n_sites, v.reshape(-1, 1)).ravel()
+    return _sweep_2d(_sweep_blocks(local.matrix), n_sites, v.reshape(-1, 1)).ravel()
 
 
 # --- sampling and random families -------------------------------------------

@@ -185,20 +185,26 @@ def _eigvals_checked(a: np.ndarray) -> np.ndarray:
 
     An array whose imaginary part is exactly zero is solved in real
     arithmetic, so its eigenvalues are exactly closed under conjugation.
-    An array whose cross blocks a[1::2, 0::2] and a[0::2, 1::2] are exactly
-    zero, as every global operator's are, is the direct sum of a[0::2, 0::2]
-    and a[1::2, 1::2] after an even/odd permutation; each half goes through
-    this function on its own.  Raises NoConvergence if the solver fails or
-    one of the 8 sampled pairs of a matrix solved (a half, after a split)
-    misses the residual bound 1e-8 times that matrix's Frobenius norm.  A
-    half's eigenvector padded with zeros is one of the whole, and the half's
-    norm is no larger, so checking the halves is at least as strict.
+    An array with either cross block a[1::2, 0::2] or a[0::2, 1::2] exactly
+    zero is block triangular after an even/odd permutation, so its
+    eigenvalues are exactly those of a[0::2, 0::2] and a[1::2, 1::2] with
+    their algebraic multiplicities; each diagonal block goes through this
+    function on its own.  Every global operator's cross blocks are both
+    zero, and a half of one has a zero cross block wherever its table's half
+    has a zero off the diagonal.  Raises NoConvergence if the solver fails
+    or one of the 8 sampled pairs of a matrix solved (a block, after a
+    split) misses the residual bound 1e-8 times that matrix's Frobenius
+    norm.  A block's norm is no larger than the whole's.  Beside a zero
+    cross block, a[1::2, 0::2] under a[0::2, 0::2] or a[0::2, 1::2] above
+    a[1::2, 1::2], a block's eigenvector padded with zeros is one of the
+    whole, so checking that block is at least as strict; the other block's
+    pairs are its own, whose eigenvalues are the whole's.
     """
     if np.iscomplexobj(a):
         a = _sweep_table(a.astype(complex, copy=False))
     else:
         a = a.astype(np.float64, copy=False)
-    if len(a) > 1 and not (a[1::2, 0::2].any() or a[0::2, 1::2].any()):
+    if len(a) > 1 and not (a[1::2, 0::2].any() and a[0::2, 1::2].any()):
         return np.concatenate([_eigvals_checked(a[0::2, 0::2]), _eigvals_checked(a[1::2, 1::2])])
     try:
         w, v = np.linalg.eig(a)
@@ -231,13 +237,15 @@ def eig_dense(matrix: np.ndarray) -> SpectrumMultiset:
 
     A matrix whose imaginary part is exactly zero is solved in real
     arithmetic, so its spectrum is exactly closed under conjugation.  A
-    matrix whose even/odd cross blocks are exactly zero, as every global
-    operator's are, is solved as its two halves (see `_eigvals_checked`).
-    Clusters repeated eigenvalues within 1e-6 * max(1, rho), conjugation-
-    safely (see `SpectrumMultiset.from_eigenvalues`).  Raises
-    SizeCapExceeded above dimension EIG_DIM_CAP = 1024 and NoConvergence if
-    the solver fails or one of the 8 largest-modulus eigenpairs of a solved
-    half misses the residual bound 1e-8 * ||half||_F.
+    matrix with an even/odd cross block exactly zero is solved as its two
+    diagonal blocks, and so on down (see `_eigvals_checked`): every global
+    operator splits into its last-site halves, and a half whose table has a
+    zero off its diagonal splits again.  Clusters repeated eigenvalues within
+    1e-6 * max(1, rho), conjugation-safely (see
+    `SpectrumMultiset.from_eigenvalues`).  Raises SizeCapExceeded above
+    dimension EIG_DIM_CAP = 1024 and NoConvergence if the solver fails or
+    one of the 8 largest-modulus eigenpairs of a solved block misses the
+    residual bound 1e-8 * ||block||_F.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -284,56 +292,112 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def _half_eigvals(local: LocalOperator, n_sites: int, c: int) -> np.ndarray:
-    """Eigenvalues of the last-site half B_c(n) = Q_n[c::2, c::2], grown one
-    site at a time from B_c(1) = [1] and B_c(2) = M_c by the block recursion.
+def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> list:
+    """Eigenvalues of the last-site halves B_c(m) = Q_m[c::2, c::2] for
+    m = first..n_sites, grown one site at a time from B_c(1) = [1] and
+    B_c(2) = M_c by the block recursion.
 
-    While every level m = 1..n-1 passes this half's `block_certificate`
-    within 1e-12 against (D_m)_c, Spec B_c(n) is {1} united with
-    Spec B_c(m) (D_m)_c, each block solved once its level is proven.  At the
-    first level that fails, the cap on 2^(n-1) is checked, the blocks'
-    eigenvalues are dropped, and B_c(n) is grown on and solved.
+    The recursion runs once.  While levels 1..m-1 pass this half's
+    `block_certificate` within 1e-12 against (D_j)_c, Spec B_c(m) is {1}
+    united with Spec B_c(j) (D_j)_c for j < m, each block solved once its
+    level is proven, so one run gives every such B_c(m) as a prefix of its
+    blocks.  At the first level that fails, the cap on 2^(n-1) is checked
+    and each larger B_c(m) from `first` on is grown and solved whole.
     """
     shifts = np.array(shift_coefficients(local))
     b = np.ones((1, 1), dtype=complex)
-    eigs = [np.ones(1)]
+    blocks = [np.ones(1)]
     for m in range(1, n_sites):
         grown = _recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
         d = np.repeat(shifts, 1 << (m - 1))[c::2]
         if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
             break
-        eigs.append(_eigvals_checked(b * d))
+        blocks.append(_eigvals_checked(b * d))
         b = grown
     else:
-        return np.concatenate(eigs)
-    _check_eig_dim(2 ** (n_sites - 1))
-    b = grown
-    for _ in range(m + 1, n_sites):
-        b = _recursion_step(local, b)
-    return _eigvals_checked(b)
+        m = n_sites
+    # levels up to m are proven by their blocks
+    out = [np.concatenate(blocks[:k]) for k in range(first, m + 1)]
+    if m < n_sites:
+        _check_eig_dim(2 ** (n_sites - 1))
+        b = grown
+        for k in range(m + 1, n_sites + 1):
+            if k > m + 1:
+                b = _recursion_step(local, b)
+            if k >= first:
+                out.append(_eigvals_checked(b))
+    return out
+
+
+def _derived_halves(local: LocalOperator) -> list:
+    """For each last-site half c, the (scale, source half) pairs that give
+    b_c(m) = Spec B_c(m) from level m-1 with no eigensolve, or None.
+
+    Inside B_c, site m-2 moves by the half table M_c = a[c::2, c::2], so
+    B_c(m)[k::2, i::2] = (M_c)_ki B_i(m-1).  If M_c has an exact zero off
+    its diagonal, B_c(m) is block triangular over site m-2, so
+    b_c(m) = (M_c)_00 b_0(m-1) united with (M_c)_11 b_1(m-1).  If M_0 and
+    M_1 are exactly equal, B_0 = B_1 and B_c(m) = B_c(m-1) (x) M_c, so
+    b_c(m) = mu_0 b_c(m-1) united with mu_1 b_c(m-1), mu_0 and mu_1 from one
+    checked 2x2 solve of M_c.  Both hold with algebraic multiplicities and
+    are decided by exact tests, with no tolerance.
+    """
+    halves = [local.matrix[c::2, c::2] for c in (0, 1)]
+    if np.array_equal(*halves):
+        mu = _eigvals_checked(halves[0])
+        return [[(mu[0], c), (mu[1], c)] for c in (0, 1)]
+    return [[(m[0, 0], 0), (m[1, 1], 1)] if m[0, 1] == 0 or m[1, 0] == 0 else None
+            for m in halves]
+
+
+def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
+    """The unclustered eigenvalues of Q_n, one per dimension, from its
+    last-site halves; `spectrum` clusters them and `zeta_det` sums over them.
+
+    One recursion over the half c and the level m: b_c(m) = Spec B_c(m)
+    starts at b_c(1) = {1}; a half that `_derived_halves` allows is derived
+    from level m-1, and any other comes from one run of `_half_eigvals`, at
+    every level when the other half is derived from it, else at level n
+    alone.  The byte budget of one dense operator of Q_n and the eigensolver
+    cap on 2^(n-2) are checked before anything is built.
+    """
+    _check_budget(n_sites, 16 * 4 ** n_sites)
+    _check_eig_dim(2 ** (n_sites - 2))
+    derived = _derived_halves(local)
+    solved = [None if terms else
+              _half_eigvals(local, n_sites, c, 1 if derived[1 - c] else n_sites)
+              for c, terms in enumerate(derived)]
+    if not any(derived):
+        return np.concatenate([levels[-1] for levels in solved])
+    b = [np.ones(1), np.ones(1)]
+    for m in range(2, n_sites + 1):
+        b = [np.concatenate([s * b[src] for s, src in terms]) if terms else solved[c][m - 1]
+             for c, terms in enumerate(derived)]
+    return np.concatenate(b)
 
 
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     """Spectrum of the n-site global operator, solved as its last-site halves.
 
     Site n-1 never moves, so Q_n is the direct sum of its halves B_c(n) =
-    Q_n[c::2, c::2], and the paper's spectral recursion holds in each half on
-    its own: Spec B_c(n) = {1} united with Spec B_c(m) (D_m)_c for m < n,
-    D_m the two column-block shifts over the halves of Q_m, wherever every
-    level passes that half's block certificate.  Each half is grown and
-    certified alone and solved by its blocks, of dimension up to 2^(n-2), or
-    whole, of dimension 2^(n-1), from its first level that fails (see
-    `_half_eigvals`); Q_n itself is never formed.  The byte budget of one
-    dense operator of Q_n and the eigensolver cap on 2^(n-2) are checked
-    before anything is built, the cap on 2^(n-1) when a level fails.  One
-    half is held at a time: B_c(n-1) and B_c(n), five sixteenths, beside a
-    block's eigensolve or the certificate's buffers; or one B_c(n) beside its
-    eigensolve.  Each solve is checked as in `eig_dense`, and the union of
-    both halves is clustered once.
+    Q_n[c::2, c::2].  A half whose table M_c has an exact zero off its
+    diagonal, or both when M_0 == M_1 exactly, is derived level by level
+    with no eigensolve (see `_derived_halves`).  In any other half the
+    paper's spectral recursion holds on its own: Spec B_c(n) = {1} united
+    with Spec B_c(m) (D_m)_c for m < n, D_m the two column-block shifts
+    over the halves of Q_m, wherever every level passes that half's block
+    certificate.  Such a half is grown and certified alone and solved by
+    its blocks, of dimension up to 2^(n-2), or whole, of dimension 2^(n-1),
+    from its first level that fails (see `_half_eigvals`); Q_n itself is
+    never formed.  The byte budget of one dense operator of Q_n and the
+    eigensolver cap on 2^(n-2) are checked before anything is built, the
+    cap on 2^(n-1) when a level fails.  One half is grown at a time:
+    B_c(n-1) and B_c(n), five sixteenths, beside a block's eigensolve or the
+    certificate's buffers; or one B_c(n) beside its eigensolve.  Each solve
+    is checked as in `eig_dense`, and the union of both halves is clustered
+    once.
     """
-    _check_budget(n_sites, 16 * 4 ** n_sites)
-    _check_eig_dim(2 ** (n_sites - 2))
-    return _cluster(np.concatenate([_half_eigvals(local, n_sites, c) for c in (0, 1)]))
+    return _cluster(_spectrum_eigvals(local, n_sites))
 
 
 def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamOutOfRange, SingularFactor
-from .operators import LocalOperator, _charge, _check_budget, _sweep_2d, _sweep_table
-from .spectral import spectrum
+from .operators import LocalOperator, _charge, _check_budget, _sweep_2d, _sweep_blocks
+from .spectral import _spectrum_eigvals
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
@@ -37,12 +37,13 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     (largest absolute column sum) is the largest even-row or odd-row sum
     over all batches, so no dense power is ever stored.  Each power is one
     sweep of ceil((n-1)/2) passes through Q_3 per batch, over 2^(n-1)
-    columns in all.  A table with zero imaginary part keeps real columns,
-    since their imaginary part stays zero.  A batch holds
-    `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few MiB, but their
-    time grows with half the 4^n entries of each power, so they are
-    admitted where the complex dense operator fits the byte budget.  The
-    r_max-long traces and norms are charged on their own.
+    columns in all; the table and Q_3 are built once for every power.  A
+    table with zero imaginary part keeps real columns, since their
+    imaginary part stays zero.  A batch holds `_TRACE_BATCH_BYTES` of
+    columns.  The sweeps need a few MiB, but their time grows with half the
+    4^n entries of each power, so they are admitted where the complex dense
+    operator fits the byte budget.  The r_max-long traces and norms are
+    charged on their own.
     """
     _check_budget(n_sites, 16 * 4 ** n_sites)
     if r_max < 1:
@@ -50,7 +51,8 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     _charge(r_max * (24 if with_norms else 16), "r_max=%d" % r_max)
     dim = 1 << n_sites
     half = dim >> 1
-    dtype = _sweep_table(local.matrix).dtype
+    blocks = _sweep_blocks(local.matrix)
+    dtype = blocks[0].dtype
     batch = max(1, min(half, _TRACE_BATCH_BYTES // (dim * dtype.itemsize)))
     traces = np.zeros(r_max, dtype=complex)
     norms = np.zeros(r_max) if with_norms else None
@@ -61,7 +63,7 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
         states = np.zeros((dim, len(cols)), dtype=dtype)
         states.reshape(half, 2, -1)[diag] = 1.0
         for r in range(r_max):
-            states = _sweep_2d(local.matrix, n_sites, states)
+            states = _sweep_2d(blocks, n_sites, states)
             paired = states.reshape(half, 2, -1)
             traces[r] += paired[diag].sum()
             if with_norms:
@@ -139,27 +141,65 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
     return max(float((padded ** (1.0 / k)).min()), 1e-12)
 
 
+def _column_sum_radius(local: LocalOperator, n_sites: int) -> float | None:
+    """Certified rho-hat >= rho straight from the table, for a real
+    nonnegative table whose column sums s agree to within the allowance
+    A = 4 n eps: rho-hat = max s^(n-1) * (1 + A).  None for any other table,
+    or for n < 1; 1 at n = 1, where Q is the identity.
+
+    Every entry of Q is one product of table entries, so Q is nonnegative,
+    and column x of Q sums to the product of s(x_j, x_(j+1)) over its n-1
+    pairs: factor j moves site j by the pair (j, j+1), which no earlier
+    factor has moved.  So ||Q||_1 <= max s^(n-1), and by Perron-Frobenius
+    min s^(n-1) <= rho <= max s^(n-1).  With the sums equal to within A no
+    norm ||Q^k||_1^(1/k) >= rho can tighten rho-hat by more than A, so the
+    norm sweeps are skipped.  A bounds the rounding: a computed s is one sum
+    of two nonnegative entries, within eps/2 relative of the true sum, so
+    its (n-1)-st power is within (n-1) eps/2, and the power, the product by
+    1 + A and the reciprocal taken as the radius hint err by a few eps/2
+    more, together under A for every n >= 1.
+    """
+    if n_sites < 2:
+        return 1.0 if n_sites == 1 else None
+    a = local.matrix
+    if a.imag.any() or (a.real < 0).any():
+        return None
+    allowance = 4 * n_sites * np.finfo(float).eps
+    with np.errstate(over="ignore"):
+        s = a.real.sum(axis=0)
+        high, low = s.max() ** (n_sites - 1), s.min() ** (n_sites - 1)
+        if high > low * (1 + allowance):
+            return None
+        return max(float(high * (1 + allowance)), 1e-12)
+
+
 def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSeries:
     """Log-zeta series to order r_max; its radius hint is 1/rho-hat with
-    rho-hat >= rho certified from the norms ||Q^k||_1 the sweeps produce."""
-    traces, norms = _trace_sweeps(local, n_sites, r_max, with_norms=True)
-    rho = _spectral_radius_bound(norms, n_sites)
+    rho-hat >= rho certified.  A real nonnegative table with equal column
+    sums (DK, PCA, CA) takes rho-hat from its column sums (see
+    `_column_sum_radius`); any other table from the norms ||Q^k||_1 the
+    sweeps produce (see `_spectral_radius_bound`)."""
+    rho = _column_sum_radius(local, n_sites)
+    traces, norms = _trace_sweeps(local, n_sites, r_max, with_norms=rho is None)
+    if rho is None:
+        rho = _spectral_radius_bound(norms, n_sites)
     return ZetaSeries(traces / (1 << n_sites), 1.0 / rho)
 
 
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
-    The eigenvalues come from `spectral.spectrum`'s last-site halves: in a
-    half whose every recursion level is certified, those of its blocks,
-    det(I - uB_c(n)) = (1-u) * prod_{m=1}^{n-1} det(I - u B_c(m) (D_m)_c),
-    the eigensolver cap on 2^(n-2); else those of B_c(n), the cap on 2^(n-1).
-    Raises SingularFactor when some eigenvalue satisfies lambda * u = 1.  For
-    |u| at or beyond the reciprocal spectral radius a value is still returned
-    but the 2^n-th root branch is ambiguous; a warning is emitted.
+    The logs are summed over the unclustered eigenvalues behind
+    `spectral.spectrum`, one per dimension: its last-site halves, derived
+    from the other levels where a half table allows it and otherwise solved
+    by their certified blocks, the eigensolver cap on 2^(n-2), or whole, the
+    cap on 2^(n-1).  Skipping the clustering keeps the sum as sharp as the
+    solves.  Raises SingularFactor when some eigenvalue satisfies
+    lambda * u = 1.  For |u| at or beyond the reciprocal spectral radius a
+    value is still returned but the 2^n-th root branch is ambiguous; a
+    warning is emitted.
     """
-    spec = spectrum(local, n_sites)
-    w, m = spec.values, spec.multiplicities
+    w = _spectrum_eigvals(local, n_sites)
     u = complex(u)
     factors = 1.0 - w * u
     if np.any(np.abs(factors) < 1e-15):
@@ -168,7 +208,7 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     if rho > 0 and abs(u) * rho >= 1.0:
         warnings.warn("u is outside the convergence disk; branch is ambiguous",
                       RuntimeWarning, stacklevel=2)
-    return complex(np.exp(-np.sum(m * np.log(factors)) / (1 << n_sites)))
+    return complex(np.exp(-np.sum(np.log(factors)) / (1 << n_sites)))
 
 
 # --- closed forms on the shift-t family -------------------------------------

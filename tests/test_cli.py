@@ -283,6 +283,18 @@ def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
         assert "xi=" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--model", "qca", "--xi", "0.3", "--n", "4", "--u", "2"],
+    ["--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "5", "--u", "1.5"],
+], ids=["qca", "dk"])
+def test_zeta_u_outside_the_disk_exits_2(argv, tmp_path, capsys):
+    # a truncated series diverging at u is refused, not written as a value
+    out = tmp_path / "z.json"
+    assert run(["zeta", *argv, "--out", str(out)]) == 2
+    assert "--u" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("5e-324", 3), ("inf", 2)])
 def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsys):
     # a 1e-5 bin asks for a 200000 x 200000 grid of 298 GiB, beyond the byte

@@ -255,7 +255,7 @@ def test_grouped_sweep_matches_per_pair_sweep(rng):
                         states = states + 1j * rng.standard_normal((1 << n, cols))
                     keep = states.copy()
                     want = per_pair_sweep(loc.matrix, n, states)
-                    got = operators._sweep_2d(loc.matrix, n, states)
+                    got = operators._sweep_2d(operators._sweep_blocks(loc.matrix), n, states)
                     assert got.dtype == want.dtype and got.shape == want.shape
                     err = np.abs(got - want).max()
                     assert err <= 1e-13 * np.abs(want).max(), (loc.label, n, cols, cplx)

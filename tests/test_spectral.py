@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,7 @@ def test_eig_cap_refuses_before_dense_build(capsys):
         lambda: spectrum(general, 12),
         lambda: spectrum(large_stochastic(), 12),  # refused where its certificate fails
         lambda: verify_claim("spectral-recursion", [dk], 10),
+        lambda: verify_claim("derived-halves", [dk], 11),
         lambda: main(["spectrum", "--model", "dk", "--p", "0.3", "--q", "0.6", "--n", "13"]),
         lambda: main(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.6",
                       "--n", "11"]),
@@ -331,18 +333,20 @@ def test_from_eigenvalues_mirrors_conjugation_closed_input(rng):
 
 
 def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
+    # DK's half 0 splits down to 1 x 1 blocks, whose every eigenvector passes;
+    # the first larger block, the 2 x 2 (1/2) M_1, fails in real arithmetic
     q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 4).dense
     seen = []
     true_eig = np.linalg.eig
 
     def perturbed(a):
-        seen.append(a.dtype)
+        seen.append((a.dtype, a.shape))
         w, v = true_eig(a)
         return w, v + 1e-3
     monkeypatch.setattr(np.linalg, "eig", perturbed)
     with pytest.raises(NoConvergence, match="residual"):
         eig_dense(q)
-    assert seen == [np.float64]
+    assert seen == [(np.float64, (1, 1))] * 2 + [(np.float64, (2, 2))]
 
 
 def split_tables(rng):
@@ -379,17 +383,31 @@ def eig_shapes(monkeypatch):
 
 
 def test_last_site_split_solves_two_halves(rng, eig_shapes):
-    for loc in split_tables(rng).values():
+    tables = split_tables(rng)
+    for key in ("general", "qca"):
         eig_shapes.clear()
-        eig_dense(build_global_recursive(loc, 6).dense)
-        assert eig_shapes == [(32, 32), (32, 32)], loc.label
-    # one tiny cross entry: the single full-size solve, as before the split
-    q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 6).dense
-    q[1, 0] = 1e-300
+        eig_dense(build_global_recursive(tables[key], 6).dense)
+        assert eig_shapes == [(32, 32), (32, 32)], key
+    # DK's half table M_0 is triangular, so half 0 splits again at every
+    # site, down to 1 x 1 blocks; half 1 is solved whole
+    eig_shapes.clear()
+    q = build_global_recursive(tables["dk"], 6).dense
+    eig_dense(q)
+    assert eig_shapes == [(1, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
+    # one tiny entry in each cross block: the single full-size solve
+    q[1, 0] = q[0, 1] = 1e-300
     eig_shapes.clear()
     got = spectral._eigvals_checked(q)
     assert eig_shapes == [(64, 64)]
     assert np.array_equal(got, np.linalg.eig(q.real)[0])
+    # one of them alone leaves the matrix block triangular: its diagonal
+    # blocks are solved on their own
+    q[0, 1] = 0
+    eig_shapes.clear()
+    got = spectral._eigvals_checked(q)
+    assert eig_shapes == [(1, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
+    halves = [spectral._eigvals_checked(q[c::2, c::2]) for c in (0, 1)]
+    assert np.array_equal(got, np.concatenate(halves))
 
 
 def old_from_eigenvalues(eigs, cluster_tol):
@@ -482,7 +500,7 @@ def test_spectrum_power_sums_match_full_solve(rng, eig_shapes):
         for n in range(2, 9):
             eig_shapes.clear()
             got = spectrum(loc, n)
-            assert max(eig_shapes) <= (1 << (n - 2),) * 2, (loc.label, n)
+            assert max(eig_shapes, default=(0, 0)) <= (1 << (n - 2),) * 2, (loc.label, n)
             want = eig_dense(build_global_recursive(loc, n).dense)
             assert got.total == 1 << n
             for r in range(1, 9):
@@ -517,9 +535,11 @@ def half_unit_sums():
 def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
     # Haar-QCA and GENERAL tables fail each half's first certificate, on its
     # column sums; the large stochastic table passes those but fails a later
-    # level in both halves, so each half ends in one solve of B_c(n).  Half 0
-    # of the half-unit-sums table passes its first certificate, but from
-    # level 2 on all four columns enter, so it too is solved whole
+    # level in both halves, so each half ends in one solve of B_c(n).  Half 1
+    # of the half-unit-sums table fails its first certificate, so each
+    # B_1(m) is solved whole; its half 0 has DK's triangular table at p = 1/2
+    # and is derived from b_0(m-1) and b_1(m-1) / 2, exact halvings of the
+    # values eig_dense's split finds by solving B_1(m-1) / 2
     cases = [(random_local_operator(fam, rng), n) for fam in ("qca", "general")
              for n in (2, 5, 7)]
     large = large_stochastic()
@@ -571,15 +591,32 @@ def test_spectrum_cli_n11_fits_default_cap(tmp_path):
     assert sum(int(m) for _, _, m in rows) == 1 << 11
 
 
-def test_spectrum_cli_qca_n11_fits_cap(tmp_path):
-    # a table without unit column sums solves the two halves of Q_11, each
-    # 1024 wide, so the cap admits it
-    out = tmp_path / "s.csv"
-    assert main(["spectrum", "--model", "qca", "--xi", "0.7", "--n", "11",
-                 "--out", str(out)]) == 0
-    rows = [l.split(",") for l in out.read_text().strip().split("\n")
-            if not l.startswith("#")][1:]
-    assert sum(int(m) for _, _, m in rows) == 1 << 11
+def full_real_table():
+    """Real table with no zero in either half table, unequal halves and
+    column sums 0.8, 0.9, 1 and 1.1: no half is derived, both fail their
+    first certificate."""
+    m = np.zeros((4, 4))
+    for c in range(4):
+        m[c % 2, c], m[2 + c % 2, c] = 0.3 + 0.1 * c, 0.5
+    return make_local_operator(m, "full-real")
+
+
+def test_spectrum_cli_qca_n11_fits_cap(tmp_path, eig_shapes):
+    # the rotation's two half tables are equal, so its spectrum is derived
+    # from one 2 x 2 solve, and n = 12 passes the up-front checks too
+    for n in (11, 12):
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--model", "qca", "--xi", "0.7", "--n", str(n),
+                     "--out", str(out)]) == 0
+        rows = [l.split(",") for l in out.read_text().strip().split("\n")
+                if not l.startswith("#")][1:]
+        assert sum(int(m) for _, _, m in rows) == 1 << n
+    assert eig_shapes == [(2, 2)] * 2
+    # a table without unit column sums and with full, unequal half tables
+    # solves the two halves of Q_11, each 1024 wide, so the cap admits it
+    eig_shapes.clear()
+    assert spectrum(full_real_table(), 11).total == 1 << 11
+    assert eig_shapes == [(1024, 1024)] * 2
 
 
 def test_halves_grow_from_the_table_half(rng):
@@ -601,13 +638,15 @@ def test_spectrum_peak_within_its_charge(rng):
     # charged one dense operator of Q_n, traced well below.  DK is solved by
     # blocks one half at a time: B_c(n-1) and B_c(n), five sixteenths,
     # beside a block's eigensolve or the certificate's buffers, traced at
-    # 0.473 operators.  The QCA rotation (column sums cos + sin) and a
-    # GENERAL table grow and solve one half of Q_n at a time, traced at
-    # 0.627 and 0.542
+    # 0.473 operators.  A real and a GENERAL table with full half tables
+    # and column sums off 1 grow and solve one half of Q_n at a time, traced
+    # at 0.628 and 0.542.  The QCA rotation's spectrum is derived from its
+    # equal half tables, traced at 0.011
     n = 9
     for loc, charge in ((dk_local_operator(DKParams(0.5, 0.75)), 0.5),
-                        (qca_rotation_local(0.7), 0.64),
-                        (random_local_operator("general", rng), 0.56)):
+                        (full_real_table(), 0.64),
+                        (random_local_operator("general", rng), 0.56),
+                        (qca_rotation_local(0.7), 0.02)):
         tracemalloc.start()
         try:
             spectrum(loc, n)
@@ -615,3 +654,91 @@ def test_spectrum_peak_within_its_charge(rng):
         finally:
             tracemalloc.stop()
         assert peak <= charge * 16 * 4 ** n, (loc.label, peak)
+
+
+# --- halves derived from the half tables -------------------------------------
+
+
+def ca_rules():
+    """The 16 deterministic pair rules: column c sends its pair to one row."""
+    rules = []
+    for rule in range(16):
+        m = np.zeros((4, 4))
+        for c in range(4):
+            m[2 * ((rule >> c) & 1) + c % 2, c] = 1.0
+        rules.append(make_local_operator(m, "ca-%d" % rule))
+    return rules
+
+
+def derived_tables():
+    return [dk_local_operator(DKParams(0.5, 0.75)), dk_local_operator(DKParams(0.3, 0.6)),
+            dk_local_operator(DKParams(0.8, 1.0)),
+            dk_local_operator(DKParams.bond_percolation(0.6447)),
+            qca_rotation_local(0.7), *ca_rules()]
+
+
+def test_derived_halves_claim():
+    # every table here has a triangular half table or equal ones; the claim
+    # compares the derived spectrum's power sums with eig_dense's
+    tables = derived_tables()
+    kinds = [[terms is not None for terms in spectral._derived_halves(t)] for t in tables]
+    assert kinds[:5] == [[True, False], [True, False], [True, True], [True, False], [True, True]]
+    assert sum(k == [True, True] for k in kinds[5:]) == 10  # 9 triangular, (NOT, NOT)
+    for n in range(1, 9):
+        rep = verify_claim("derived-halves", tables, n)
+        assert rep.passed, (n, rep.worst_residual)
+    general = random_local_operator("general", np.random.default_rng(3))
+    assert verify_claim("derived-halves", [general], 3).passed is None
+
+
+def test_zeta_det_eigenvalues_match_traces():
+    # the unclustered eigenvalues zeta_det sums over: power sums within
+    # 1e-14 relative of the swept traces at n = 11 (read 4.3e-16 to 9.1e-16;
+    # the clustered spectrum's read 1.2e-13 to 5.1e-13)
+    n = 11
+    for params in (DKParams(0.5, 0.75), DKParams(0.3, 0.6), DKParams.bond_percolation(0.6447)):
+        loc = dk_local_operator(params)
+        w = spectral._spectrum_eigvals(loc, n)
+        traces = power_trace_coefficients(loc, n, 8) * (1 << n)
+        assert len(w) == 1 << n
+        for r in range(1, 9):
+            err = abs(np.sum(w ** r) - traces[r - 1]) / abs(traces[r - 1])
+            assert err <= 1e-14, (params, r, err)
+
+
+def test_dk_q1_needs_no_eigensolve(eig_shapes):
+    # at q = 1 both DK half tables are triangular: the whole spectrum is
+    # derived, even at n = 12
+    loc = dk_local_operator(DKParams(0.8, 1.0))
+    for n in (2, 7, 12):
+        spec = spectrum(loc, n)
+        assert spec.total == 1 << n
+    zeta_det(loc, 9, 0.3)
+    assert eig_shapes == []
+    traces = power_trace_coefficients(loc, 9, 8) * (1 << 9)
+    w = spectral._spectrum_eigvals(loc, 9)
+    for r in range(1, 9):
+        assert abs(np.sum(w ** r) - traces[r - 1]) <= 1e-14 * abs(traces[r - 1]), r
+
+
+def test_uncontrolled_rotation_spectrum():
+    # equal half tables: Q_n = M^(x)(n-1) (x) I_2, spectrum e^(i xi (n-1-2a))
+    # with multiplicity 2 C(n-1, a)
+    xi, n = 0.7, 11
+    spec = spectrum(qca_rotation_local(xi), n)
+    want = SpectrumMultiset.from_pairs(
+        [np.exp(1j * xi * (n - 1 - 2 * a)) for a in range(n)],
+        [2 * math.comb(n - 1, a) for a in range(n)], 1 << n)
+    assert match_multisets(spec, want, 1e-13)[0]
+    assert match_multisets(spec, conjugate(spec), 0.0)[0]
+    traces = power_trace_coefficients(qca_rotation_local(xi), n, 8) * (1 << n)
+    for r in range(1, 9):
+        assert abs(spec.moment(r) - traces[r - 1]) <= 1e-12 * (1 << n), r
+
+
+def test_prefix_reuse_solves_each_block_once(eig_shapes):
+    # DK's half 1 passes every certificate: one run of its block recursion
+    # gives every level, each block B_1(m) (D_m)_1 solved once
+    n = 9
+    spectrum(dk_local_operator(DKParams(0.5, 0.75)), n)
+    assert sorted(eig_shapes) == [(1 << (m - 1),) * 2 for m in range(1, n)]

@@ -74,9 +74,9 @@ def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
     widths = []
     sweep = zeta._sweep_2d
 
-    def recorded(matrix4, n_sites, states):
+    def recorded(blocks, n_sites, states):
         widths.append(states.shape[1])
-        return sweep(matrix4, n_sites, states)
+        return sweep(blocks, n_sites, states)
 
     monkeypatch.setattr(zeta, "_sweep_2d", recorded)
     r_max = 3
@@ -244,6 +244,52 @@ def test_radius_hint_bounds_spectral_radius():
         series = zeta_log_series(loc, n, 30)
         assert 1.0 / series.radius_hint >= (1 - 1e-9) * rho, (i, n)
     assert zeta_log_series(loc, 1, 5).radius_hint == 1.0
+
+
+def nonnegative_equal_sum_tables(rng):
+    return [dk_local_operator(DKParams(0.5, 0.75)), dk_local_operator(DKParams(0.3, 0.6)),
+            dk_local_operator(DKParams.bond_percolation(0.6447)),
+            *(random_local_operator(fam, rng) for fam in ("pca", "pca", "ca", "ca"))]
+
+
+def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
+    # real nonnegative tables with equal column sums take rho-hat from the
+    # table: no norm sweeps, the same coefficients, and 1/rho-hat within
+    # the allowance 4 n eps of their exact radius 1
+    asked = []
+    sweeps = zeta._trace_sweeps
+
+    def recorded(local, n_sites, r_max, with_norms):
+        asked.append(with_norms)
+        return sweeps(local, n_sites, r_max, with_norms)
+
+    monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
+    for loc in nonnegative_equal_sum_tables(rng):
+        for n in (2, 5, 8):
+            series = zeta_log_series(loc, n, 12)
+            assert np.array_equal(series.coefficients, power_trace_coefficients(loc, n, 12))
+            rho = np.abs(np.linalg.eigvals(build_global_recursive(loc, n).dense)).max()
+            assert 1.0 / series.radius_hint >= rho - 1e-12, (loc.label, n)
+            assert 1 <= 1.0 / series.radius_hint <= 1 + 4 * n * np.finfo(float).eps
+    assert asked and not any(asked)
+    # unequal column sums and complex tables keep the norm sweeps
+    asked.clear()
+    scaled = dk_local_operator(DKParams(0.5, 0.75)).matrix.copy()
+    scaled[:, 1::2] *= 0.9
+    for loc in (make_local_operator(scaled), qca_rotation_local(0.7),
+                random_local_operator("complex-stochastic", rng)):
+        zeta_log_series(loc, 4, 6)
+    assert asked == [True] * 3
+
+
+def test_zeta_det_matches_series_inside_the_disk(rng):
+    for loc in nonnegative_equal_sum_tables(rng):
+        for n in (2, 5, 8):
+            series = zeta_log_series(loc, n, 120)
+            for u in (0.3, -0.25 + 0.2j, 0.1j):
+                assert abs(u) < 0.5 * series.radius_hint
+                want = np.exp(series.evaluate(u))
+                assert abs(zeta_det(loc, n, u) - want) <= 1e-10 * abs(want), (loc.label, n, u)
 
 
 def test_single_site_zeta_closed_form():
