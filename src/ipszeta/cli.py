@@ -149,6 +149,8 @@ def cmd_zeta(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
+    if args.rmax < 1:
+        parser.error("--rmax must be at least 1")
     if args.random:
         if args.n is None:
             parser.error("--n is required")

@@ -71,15 +71,17 @@ class SpectrumMultiset:
         """Cluster raw eigenvalues within cluster_tol into (value, count) pairs.
 
         Greedy in (real, imag) order: each value joins the cluster whose
-        running mean is nearest, if within cluster_tol, else starts one.
+        running mean is nearest, if within cluster_tol, else starts one.  A
+        cluster's value is then its members' weighted mean, summed pairwise.
 
         Input exactly closed under conjugation, with some value off the real
         axis (a real matrix's eigenvalues), is clustered over its values with
-        imag >= 0 only and then mirrored, so the result is closed too.  A
+        imag >= 0 only and then mirrored, so the result is closed too: a
+        member off the axis weighs 2, for itself and its conjugate.  A
         cluster holding a real value, or whose mean lies within cluster_tol/2
-        of the axis, becomes one real cluster that also counts the conjugates
-        of its members; any other is emitted once as itself and once
-        conjugated.  Values are then sorted by (real, imag).
+        of the axis, becomes one real cluster that counts both; any other is
+        emitted once as itself and once conjugated.  Values are sorted by
+        (real, imag).
         """
         eigs = np.asarray(eigs, dtype=complex).ravel()
         ordered = eigs[np.lexsort((eigs.imag, eigs.real))]
@@ -89,7 +91,6 @@ class SpectrumMultiset:
             mirror = np.array_equal(ordered, c[np.lexsort((c.imag, c.real))])
         if mirror:
             ordered = ordered[ordered.imag >= 0]
-        sums = np.empty(len(ordered), dtype=complex)
         counts = np.zeros(len(ordered), dtype=np.int64)
         means = np.empty(len(ordered), dtype=complex)
         labels = np.empty(len(ordered), dtype=np.int64)
@@ -99,29 +100,26 @@ class SpectrumMultiset:
                 d = np.abs(means[:k] - z)
                 j = int(d.argmin())
                 if d[j] <= cluster_tol:
-                    sums[j] += z
                     counts[j] += 1
-                    means[j:j + 1] = sums[j:j + 1] / counts[j:j + 1]
+                    means[j] += (z - means[j]) / counts[j]
                     labels[i] = j
                     continue
-            sums[k] = means[k] = z
+            means[k] = z
             counts[k] = 1
             labels[i] = k
             k += 1
-        if not mirror:
-            return cls(means[:k], counts[:k], len(eigs))
-        means, counts = means[:k], counts[:k]
-        real = ordered.imag == 0
-        # each member off the axis stands for itself and its conjugate
-        weight = np.where(real, 1.0, 2.0)
-        merged = np.abs(means.imag) <= cluster_tol / 2
-        merged[labels[real]] = True
-        total = np.bincount(labels, weights=weight, minlength=k).astype(np.int64)
-        re_sum = np.bincount(labels, weights=weight * ordered.real, minlength=k)
-        pair = ~merged
-        values = np.concatenate([re_sum[merged] / total[merged] + 0j,
-                                 means[pair], means[pair].conj()])
-        mults = np.concatenate([total[merged], counts[pair], counts[pair]])
+        counts = counts[:k]
+        weight = np.where(mirror & (ordered.imag != 0), 2, 1)
+        grouped = np.argsort(labels, kind="stable")
+        starts = np.cumsum(counts) - counts
+        total = np.add.reduceat(weight[grouped], starts)
+        value = np.add.reduceat(weight[grouped] * ordered[grouped], starts) / total
+        # a total under 2 per member: the cluster holds a real member
+        real = mirror & ((total < 2 * counts) | (np.abs(value.imag) <= cluster_tol / 2))
+        value[real] = value[real].real
+        pair = mirror & ~real
+        values = np.concatenate([value, value[pair].conj()])
+        mults = np.concatenate([np.where(pair, counts, total), counts[pair]])
         order = np.lexsort((values.imag, values.real))
         return cls(values[order], mults[order], len(eigs))
 

@@ -11,7 +11,6 @@ series is the canonical branch.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +103,11 @@ class ZetaSeries:
         return complex(np.sum(self.coefficients * np.power(complex(u), r) / r))
 
     def truncation_bound(self, u: complex) -> float | None:
-        """Tail bound for the truncation, valid when rho_hat * |u| < 1."""
-        rho = 1.0 / self.radius_hint
-        x = rho * abs(u)
-        if x >= 1.0:
+        """Tail bound for the truncation, valid when |u| < radius_hint; None
+        elsewhere, also for a radius hint of 0 (overflowing norms)."""
+        if not abs(u) < self.radius_hint:
             return None
+        x = abs(u) / self.radius_hint
         return x ** (self.r_max + 1) / ((self.r_max + 1) * (1.0 - x))
 
 
@@ -128,11 +127,8 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
     ||Q||_1 itself is accurate, since every entry of Q is a single product
     of table entries.  A column sum runs over the even or the odd rows of a
     paired column, 2^(n-1) terms, and errs by at most 2^(n-1) eps relative;
-    `grow` keeps the allowance of 2^n terms, which still bounds it.  n = 1
-    gives 1.
+    `grow` keeps the allowance of 2^n terms, which still bounds it.
     """
-    if n_sites == 1:
-        return 1.0
     eps = np.finfo(float).eps
     k = np.arange(1, len(norms) + 1)
     grow = 1.0 + ((1 << n_sites) + n_sites) * eps
@@ -186,6 +182,17 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
     return ZetaSeries(traces / (1 << n_sites), 1.0 / rho)
 
 
+def _log_det(values, weights, u: complex) -> complex:
+    """-sum w log(1 - lambda u) by principal logs, which continue the log
+    series along [0, u]: there each factor 1 - s lambda u, s in [0, 1], moves
+    straight from 1 and meets the cut (-inf, 0] only where lambda u is real
+    and >= 1.  Raises SingularFactor when a computed factor lies on the cut."""
+    factors = 1.0 - values * u
+    if np.any((factors.imag == 0) & (factors.real <= 0)):
+        raise SingularFactor("1 - lambda*u lies on (-inf, 0] at u = %r" % (u,))
+    return complex(-np.sum(weights * np.log(factors)))
+
+
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
@@ -194,21 +201,12 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     from the other levels where a half table allows it and otherwise solved
     by their certified blocks, the eigensolver cap on 2^(n-2), or whole, the
     cap on 2^(n-1).  Skipping the clustering keeps the sum as sharp as the
-    solves.  Raises SingularFactor when some eigenvalue satisfies
-    lambda * u = 1.  For |u| at or beyond the reciprocal spectral radius a
-    value is still returned but the 2^n-th root branch is ambiguous; a
-    warning is emitted.
+    solves.  The branch is the continuation of the series along [0, u], at
+    any |u| (see `_log_det`); SingularFactor is raised where some lambda u
+    lies on [1, inf).
     """
     w = _spectrum_eigvals(local, n_sites)
-    u = complex(u)
-    factors = 1.0 - w * u
-    if np.any(np.abs(factors) < 1e-15):
-        raise SingularFactor("1 - lambda*u vanishes at u = %r" % (u,))
-    rho = float(np.abs(w).max())
-    if rho > 0 and abs(u) * rho >= 1.0:
-        warnings.warn("u is outside the convergence disk; branch is ambiguous",
-                      RuntimeWarning, stacklevel=2)
-    return complex(np.exp(-np.sum(np.log(factors)) / (1 << n_sites)))
+    return complex(np.exp(_log_det(w, 1.0 / (1 << n_sites), complex(u))))
 
 
 # --- closed forms on the shift-t family -------------------------------------
@@ -222,14 +220,11 @@ def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
 
 
 def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
-    """log zeta on the shift-t family: a binomial average of -log(1 - t^k u)."""
+    """log zeta on the shift-t family: a binomial average of -log(1 - t^k u),
+    on the branch of `zeta_det` (continuation of the series along [0, u])."""
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
     weights = np.array([math.comb(n_sites - 1, k) for k in range(n_sites)],
                        dtype=float) / (1 << (n_sites - 1))
-    u = complex(u)
     powers = np.array([1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)])
-    factors = 1.0 - powers * u
-    if np.any(np.abs(factors) < 1e-15):
-        raise SingularFactor("1 - t^k u vanishes at u = %r" % (u,))
-    return complex(-np.sum(weights * np.log(factors)))
+    return _log_det(powers, weights, complex(u))

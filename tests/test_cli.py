@@ -173,6 +173,15 @@ def test_verify_zero_trials_is_usage_error():
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("claim,rmax", [("derived-halves", "0"), ("build-recursion", "-4")])
+def test_verify_rmax_below_one_is_usage_error(claim, rmax, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(["verify", claim, "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3",
+             "--rmax", rmax])
+    assert ei.value.code == 2
+    assert "--rmax" in capsys.readouterr().err
+
+
 def test_verify_t_family_rejects_unequal_shifts(tmp_path):
     out = tmp_path / "r.json"
     rc = run(["verify", "t-family", "--model", "dk", "--p", "0.3", "--q", "0.9",

@@ -307,14 +307,14 @@ def test_eig_dense_real_tables_conjugation_closed(rng):
 
 
 def test_from_eigenvalues_mirrors_conjugation_closed_input(rng):
-    # tol 1: one greedy pass in (real, imag) order (old_from_eigenvalues) puts
+    # tol 1: one greedy pass in (real, imag) order (per_value_from_eigenvalues) puts
     # -0.375i, 0.375i and 0.25-0.875i in one cluster and 0.25+0.875i in
     # another, a result not closed
     straddle = np.array([-0.375j, 0.375j, 0.25 - 0.875j, 0.25 + 0.875j])
     got = SpectrumMultiset.from_eigenvalues(straddle, 1.0)
     assert got.values.tolist() == [0.125 - 0.625j, 0.125 + 0.625j]
     assert got.multiplicities.tolist() == [2, 2]
-    assert not same_multiset(old_from_eigenvalues(straddle, 1.0), got)
+    assert not same_multiset(per_value_from_eigenvalues(straddle, 1.0), got)
     # a cluster with a real member, or a mean within tol/2 of the axis, is one
     # real cluster counting both halves; the others come as conjugate pairs
     eigs = np.array([3.0, 3.0 + 0.75j, 3.0 - 0.75j, 5.0 + 0.375j, 5.0 - 0.375j,
@@ -410,21 +410,26 @@ def test_last_site_split_solves_two_halves(rng, eig_shapes):
     assert np.array_equal(got, np.concatenate(halves))
 
 
-def old_from_eigenvalues(eigs, cluster_tol):
+def per_value_from_eigenvalues(eigs, cluster_tol):
+    """Greedy clustering one value at a time: running means steer it, and
+    each cluster's value is its members' mean taken from `math.fsum`."""
     eigs = np.asarray(eigs, dtype=complex).ravel()
-    order = np.lexsort((eigs.imag, eigs.real))
-    sums, counts = [], []
-    for z in eigs[order]:
-        if sums:
-            reps = np.array(sums) / np.array(counts)
-            j = int(np.abs(reps - z).argmin())
-            if abs(reps[j] - z) <= cluster_tol:
-                sums[j] += z
-                counts[j] += 1
+    means, members = [], []
+    for z in eigs[np.lexsort((eigs.imag, eigs.real))]:
+        if means:
+            d = np.abs(np.array(means) - z)
+            j = int(d.argmin())
+            if d[j] <= cluster_tol:
+                members[j].append(z)
+                means[j] += (z - means[j]) / len(members[j])
                 continue
-        sums.append(z)
-        counts.append(1)
-    return SpectrumMultiset(np.array(sums) / np.array(counts), np.array(counts), len(eigs))
+        means.append(z)
+        members.append([z])
+    values = np.array([complex(math.fsum(z.real for z in g) / len(g),
+                               math.fsum(z.imag for z in g) / len(g)) for g in members])
+    counts = np.array([len(g) for g in members], dtype=np.int64)
+    order = np.lexsort((values.imag, values.real))
+    return SpectrumMultiset(values[order], counts[order], len(eigs))
 
 
 def old_histogram(spec, bin_size):
@@ -463,11 +468,16 @@ def hard_eigenvalues(rng, tol):
 
 
 def test_from_eigenvalues_matches_per_value_loop(rng):
+    eps = np.finfo(float).eps
     for tol in (1e-6, 2.0 ** -20, 2.0 ** -10, 0.0625):
         eigs = hard_eigenvalues(rng, tol)
         for sample in (eigs, rng.permutation(eigs), eigs[:1], eigs[:0]):
             got = SpectrumMultiset.from_eigenvalues(sample, tol)
-            assert same_multiset(got, old_from_eigenvalues(sample, tol)), tol
+            ref = per_value_from_eigenvalues(sample, tol)
+            assert np.array_equal(got.multiplicities, ref.multiplicities), tol
+            assert got.source_dim == ref.source_dim
+            err = np.abs(got.values - ref.values)
+            assert np.all(err <= 2 * eps * np.abs(ref.values)), tol
 
 
 def test_histogram_matches_per_value_loop(rng):
@@ -734,6 +744,17 @@ def test_uncontrolled_rotation_spectrum():
     traces = power_trace_coefficients(qca_rotation_local(xi), n, 8) * (1 << n)
     for r in range(1, 9):
         assert abs(spec.moment(r) - traces[r - 1]) <= 1e-12 * (1 << n), r
+
+
+def test_clustered_rotation_power_sums_are_sharp():
+    # 2 C(10, a) equal eigenvalues per cluster: each cluster's pairwise mean
+    # keeps the power sums within 5e-12 of the swept traces, relative
+    loc, n = qca_rotation_local(0.7), 11
+    spec = spectrum(loc, n)
+    traces = power_trace_coefficients(loc, n, 8) * (1 << n)
+    for r in range(1, 9):
+        err = abs(spec.moment(r) - traces[r - 1])
+        assert err <= 5e-12 * max(1.0, abs(traces[r - 1])), (r, err)
 
 
 def test_prefix_reuse_solves_each_block_once(eig_shapes):

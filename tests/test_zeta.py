@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,8 @@ def test_truncation_bound_behavior():
     nearer = series.truncation_bound(0.8 * series.radius_hint)
     assert inside is not None and nearer is not None and inside < nearer
     assert series.truncation_bound(2.0 * series.radius_hint) is None
+    # overflowing norms leave a radius hint of 0, inside which no u lies
+    assert zeta.ZetaSeries(np.zeros(3), 0.0).truncation_bound(0.1) is None
 
 
 def test_radius_hint_bounds_spectral_radius():
@@ -304,6 +307,35 @@ def test_zeta_det_singular_guard():
     loc = dk_local_operator(DKParams(1.0, 0.0))  # eigenvalue 1 in the spectrum
     with pytest.raises(SingularFactor):
         zeta_det(loc, 3, 1.0)
+
+
+def continued_zeta(q, u, steps=4000):
+    """det(I - uQ)^(-1/2^n) continued from u = 0 along [0, u]: slogdet of
+    I - s u Q on a grid of s, with its phase unwrapped."""
+    eye = np.eye(len(q))
+    logs = [np.linalg.slogdet(eye - s * u * q) for s in np.linspace(0.0, 1.0, steps + 1)]
+    phase = np.unwrap([np.angle(sign) for sign, _ in logs])
+    return np.exp(-(logs[-1][1] + 1j * phase[-1]) / len(q))
+
+
+def test_zeta_det_continues_the_series_outside_the_disk(rng):
+    cases = [(dk_local_operator(DKParams(0.5, 0.75)), 5, 1.5 + 0.3j),
+             (qca_rotation_local(0.7), 4, -1.7 + 0.2j),
+             (random_local_operator("general", rng), 4, 0.4 + 1.9j)]
+    for loc, n, u in cases:
+        q = build_global_recursive(loc, n).dense
+        assert abs(u) * np.abs(np.linalg.eigvals(q)).max() > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = zeta_det(loc, n, u)
+        want = continued_zeta(q, u)
+        assert abs(got - want) <= 1e-12 * abs(want), (loc.label, n, u)
+
+
+def test_zeta_det_refuses_a_factor_on_the_cut():
+    # lambda = 1 is in DK's spectrum, so lambda u = 3 lies on [1, inf)
+    with pytest.raises(SingularFactor):
+        zeta_det(dk_local_operator(DKParams(0.5, 0.75)), 4, 3.0)
 
 
 def test_qca_rotation_coefficients_and_report():
