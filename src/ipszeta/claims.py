@@ -39,7 +39,7 @@ from .spectral import (
     trace_closed_form,
     trace_path_sum,
 )
-from .zeta import c_r, power_trace_coefficients, t_case_c_r
+from .zeta import _swept_coefficients, power_trace_coefficients, t_case_c_r
 
 # How far a table may sit from a domain's defining equalities (equal shifts,
 # the rotation form) and still count as inside it; unit column sums are
@@ -139,7 +139,7 @@ def _check_block_sums(local: LocalOperator, n_sites: int, r_max: int):
 def _check_traces(local: LocalOperator, n_sites: int, r_max: int):
     """Path sum and closed form against the swept trace, relative to
     max(1, |tr Q|)."""
-    swept = c_r(local, n_sites, 1) * (1 << n_sites)
+    swept = _swept_coefficients(local, n_sites, 1)[0] * (1 << n_sites)
     diff = max(abs(trace_path_sum(local, n_sites) - swept),
                abs(trace_closed_form(local, n_sites) - swept))
     return diff / max(1.0, abs(swept)), {}
@@ -181,7 +181,7 @@ def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
         residuals.append(block_certificate(big, q, t))
         q = big
     distance = match_multisets(eig_dense(q), t_case_spectrum(t, n_sites), 0.0)[1]
-    coeffs = power_trace_coefficients(local, n_sites, r_max)
+    coeffs = _swept_coefficients(local, n_sites, r_max)
     error = max(abs(coeffs[r - 1] - t_case_c_r(t, n_sites, r)) for r in range(1, r_max + 1))
     return max(residuals, default=0.0), {"eigenvalue_distance": distance,
                                          "coefficient_error": error}
@@ -190,19 +190,26 @@ def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
 def _check_derived_halves(local: LocalOperator, n_sites: int, r_max: int):
     """Power sums r = 1..r_max of the eigenvalues `spectrum` derives from
     the half tables against those of `eig_dense` on the dense Q_n, relative
-    to max(1, sum |lambda|^r) of the latter."""
+    to max(1, sum |lambda|^r) of the latter.  Side measure `trace_error`:
+    the coefficients `power_trace_coefficients` derives from the half
+    tables against those of the paired sweep, relative to max(1, |C_r|) of
+    the latter."""
     _check_eig_dim(2 ** n_sites)
     got = _spectrum_eigvals(local, n_sites)
     want = eig_dense(build_global_recursive(local, n_sites).dense)
     r = np.arange(1, r_max + 1)[:, None]
     diff = np.abs((got ** r).sum(axis=1) - (want.multiplicities * want.values ** r).sum(axis=1))
     scale = np.maximum(1.0, (want.multiplicities * np.abs(want.values) ** r).sum(axis=1))
-    return float((diff / scale).max()), {}
+    swept = _swept_coefficients(local, n_sites, r_max)
+    trace_error = np.abs(power_trace_coefficients(local, n_sites, r_max) - swept)
+    return float((diff / scale).max()), {
+        "trace_error": float((trace_error / np.maximum(1.0, np.abs(swept))).max())}
 
 
 def _check_rotation(local: LocalOperator, n_sites: int, r_max: int):
-    """C_r = (cos r xi)^(n-1) for r = 1..r_max, absolute error."""
-    coeffs = power_trace_coefficients(local, n_sites, r_max)
+    """C_r = (cos r xi)^(n-1) for r = 1..r_max from the paired sweep,
+    absolute error."""
+    coeffs = _swept_coefficients(local, n_sites, r_max)
     r = np.arange(1, r_max + 1)
     return float(np.abs(coeffs - np.cos(r * _rotation_angle(local)) ** (n_sites - 1)).max()), {}
 

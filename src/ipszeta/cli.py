@@ -4,7 +4,9 @@ Subcommands: op build, spectrum, zeta, verify <claim>, dk survive, dk scan.
 Outputs are deterministic for a fixed argument list (seeds default to 0 and
 metadata carries no timestamps).  Exit codes: 0 success; 1 failed claim, a
 claim given a table outside its domain (report "pass": null with a reason),
-or no bracket; 2 usage or parameter error; 3 size cap (the byte budget, the
+or no bracket; 2 usage or parameter error, including a table whose float64
+arithmetic overflows or turns invalid (every command runs with numpy's
+overflow and invalid-value errors raised); 3 size cap (the byte budget, the
 histogram grid under it, or the eigensolver cap checked before the dense
 build) or convergence failure.
 """
@@ -45,7 +47,8 @@ from .serialize import (
 from .spectral import _histogram_bins, histogram, spectrum
 from .zeta import zeta_log_series
 
-# Exit code by error type; every other error is a usage or parameter error (2).
+# Exit code by error type; every other error caught by `main` is a usage or
+# parameter error (2), FloatingPointError included.
 _EXIT_CODES = {SizeCapExceeded: 3, NoConvergence: 3, NoBracket: 1}
 
 
@@ -293,8 +296,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
-    except (IpsZetaError, ValueError, OSError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args, parser)
+    except (IpsZetaError, ValueError, OSError, FloatingPointError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
 

@@ -254,11 +254,14 @@ def _sweep_blocks(matrix4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, q3
 
 
-def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int,
-              states: np.ndarray) -> np.ndarray:
+def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int, states: np.ndarray,
+              spare: np.ndarray | None = None) -> np.ndarray:
     """Apply the global operator to a C-contiguous (2**n, b) batch of column
-    states, given its `_sweep_blocks`.  `states` is never written; for n >= 2
-    the result is a new array.
+    states, given its `_sweep_blocks`.  Without `spare`, `states` is never
+    written, and for n >= 2 the result is a new array.  With `spare`, a
+    C-contiguous array of the same shape and dtype, the passes write into
+    `spare` and `states` in turn, so no state is allocated, and the result is
+    whichever of the two the last pass wrote.
 
     The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
     as the same block Q_3, which multiplies the 8-row blocks of the batch
@@ -268,13 +271,16 @@ def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int,
     act on entrywise.
     """
     a, q3 = blocks
-    out = states
-    as_real = np.isrealobj(a) and np.iscomplexobj(states)
-    if as_real:
-        out = states.view(np.float64)
-    for j in range(0, n_sites - 1, 2):
+    as_real = a.dtype.kind == "f" and states.dtype.kind == "c"
+    bufs = [x.view(np.float64) if as_real else x for x in (states, spare) if x is not None]
+    out = bufs[0]
+    for i, j in enumerate(range(0, n_sites - 1, 2)):
         b = q3 if j + 2 < n_sites else a
-        out = np.matmul(b, out.reshape(1 << j, len(b), -1))
+        x = out.reshape(1 << j, len(b), -1)
+        out = np.matmul(b, x, out=None if spare is None else bufs[1 - i % 2].reshape(x.shape))
+    if spare is not None:
+        # n // 2 passes: an odd count ends in `spare`
+        return (states, spare)[n_sites // 2 % 2]
     out = out.reshape(states.shape[0], -1)
     return out.view(states.dtype) if as_real else out
 

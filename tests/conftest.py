@@ -42,6 +42,17 @@ def oracle_c_r(local, n_sites, r):
     return np.trace(np.linalg.matrix_power(g, r)) / (1 << n_sites)
 
 
+def ca_rules():
+    """The 16 deterministic pair rules: column c sends its pair to one row."""
+    rules = []
+    for rule in range(16):
+        m = np.zeros((4, 4))
+        for c in range(4):
+            m[2 * ((rule >> c) & 1) + c % 2, c] = 1.0
+        rules.append(make_local_operator(m, "ca-%d" % rule))
+    return rules
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -293,6 +293,25 @@ def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["spectrum"], ["zeta"], ["zeta", "--u", "0.1"], ["op", "build", "--format", "csv"],
+], ids=["spectrum", "zeta", "zeta-u", "op-build-csv"])
+def test_overflowing_table_exits_2(argv, tmp_path, capsys):
+    # every allowed entry 1e200 is finite, but products of two overflow
+    # float64: a parameter error before any output, with no numpy warning
+    path, out = tmp_path / "big.json", tmp_path / "out.txt"
+    table = [[1e200 if r % 2 == c % 2 else 0.0, 0.0] for r in range(4) for c in range(4)]
+    path.write_text(json.dumps({"n": 4, "local": {"a_kl_ij": table}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _warning_to_stderr
+        code = run([*argv, "--model", "custom", "--file", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["--model", "qca", "--xi", "0.3", "--n", "4", "--u", "2"],
     ["--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "5", "--u", "1.5"],
 ], ids=["qca", "dk"])

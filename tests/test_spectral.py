@@ -31,7 +31,7 @@ from ipszeta.spectral import (
 )
 from ipszeta.zeta import power_trace_coefficients, zeta_det
 
-from conftest import oracle_global
+from conftest import ca_rules, oracle_global
 
 
 def mk(pairs):
@@ -669,17 +669,6 @@ def test_spectrum_peak_within_its_charge(rng):
 # --- halves derived from the half tables -------------------------------------
 
 
-def ca_rules():
-    """The 16 deterministic pair rules: column c sends its pair to one row."""
-    rules = []
-    for rule in range(16):
-        m = np.zeros((4, 4))
-        for c in range(4):
-            m[2 * ((rule >> c) & 1) + c % 2, c] = 1.0
-        rules.append(make_local_operator(m, "ca-%d" % rule))
-    return rules
-
-
 def derived_tables():
     return [dk_local_operator(DKParams(0.5, 0.75)), dk_local_operator(DKParams(0.3, 0.6)),
             dk_local_operator(DKParams(0.8, 1.0)),
@@ -697,6 +686,8 @@ def test_derived_halves_claim():
     for n in range(1, 9):
         rep = verify_claim("derived-halves", tables, n)
         assert rep.passed, (n, rep.worst_residual)
+        # the derived power traces against the paired sweep
+        assert rep.details["trace_error"] <= 1e-13, (n, rep.details["trace_error"])
     general = random_local_operator("general", np.random.default_rng(3))
     assert verify_claim("derived-halves", [general], 3).passed is None
 

@@ -9,6 +9,8 @@ from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import SingularFactor, SizeCapExceeded
 from ipszeta.operators import (
+    _sweep_2d,
+    _sweep_blocks,
     build_global_kronecker,
     build_global_recursive,
     config_bits,
@@ -27,7 +29,7 @@ from ipszeta.zeta import (
     zeta_log_series,
 )
 
-from conftest import oracle_c_r, oracle_global
+from conftest import ca_rules, oracle_c_r, oracle_global
 
 
 def test_power_traces_match_oracle(rng):
@@ -70,24 +72,117 @@ def test_default_trace_batch_is_byte_budget(rng, monkeypatch):
 
 
 def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
-    # the last site never moves, so a power sweeps the 2^(n-1) paired columns
-    # e_2j + e_(2j+1) through the unchanged kernel, not all 2^n basis columns
-    widths = []
+    # the last site never moves, so a power sweeps paired columns
+    # e_2j + e_(2j+1): 2^(n-1) columns of 2^n rows, half the 4^n entries of
+    # Q^r, for a GENERAL table.  DK derives its triangular vacant half and
+    # sweeps, on the 2^(n-1) rows of its other half, 2^(n-2) paired columns
+    # of Q_(n-1) and 2^(n-1) basis columns of that half: three quarters of
+    # that.  At n = 1, where Q is the identity, neither sweeps
+    calls = []
     sweep = zeta._sweep_2d
 
-    def recorded(blocks, n_sites, states):
-        widths.append(states.shape[1])
-        return sweep(blocks, n_sites, states)
+    def recorded(blocks, n_sites, states, spare=None):
+        calls.append(states.size)
+        return sweep(blocks, n_sites, states, spare)
 
     monkeypatch.setattr(zeta, "_sweep_2d", recorded)
     r_max = 3
-    for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
-        for n in (1, 2, 5, 11):
-            widths.clear()
+    dk, general = dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)
+    for n in (1, 2, 5, 11):
+        for loc, entries in ((general, 4 ** n // 2), (dk, 3 * 4 ** n // 8)):
+            calls.clear()
             zeta_log_series(loc, n, r_max)
             # batch after batch, each swept once per power
-            assert [sum(widths[r::r_max]) for r in range(r_max)] == [1 << (n - 1)] * r_max, \
-                (loc.label, n, widths)
+            got = [sum(calls[r::r_max]) for r in range(r_max)]
+            assert got == ([0] * r_max if n == 1 else [entries] * r_max), (loc.label, n)
+
+
+def derived_trace_tables():
+    """Tables with a derived half: the 16 CA rules, DK at q = 1 and q < 1,
+    bond DK, the rotation at four angles and a complex table with equal half
+    tables, scaled to spectral radius 1."""
+    z = np.random.default_rng(5).standard_normal((2, 2, 2)) @ np.array([1, 1j])
+    z /= np.abs(np.linalg.eigvals(z)).max()
+    equal = np.zeros((4, 4), dtype=complex)
+    equal[0::2, 0::2] = equal[1::2, 1::2] = z
+    return [*ca_rules(), *(dk_local_operator(DKParams(p, 1.0)) for p in (0.2, 0.5, 0.8, 1.0)),
+            *(dk_local_operator(DKParams(p, q))
+              for p, q in ((0.5, 0.75), (0.3, 0.6), (0.8, 0.2), (1.0, 0.0), (0.1, 0.9))),
+            dk_local_operator(DKParams.bond_percolation(0.6447)),
+            *(qca_rotation_local(xi) for xi in (0.3, 0.7, 1.3, 2.9)),
+            make_local_operator(equal, "equal-halves")]
+
+
+def test_derived_traces_match_the_paired_sweep():
+    # every table here derives one half or both; the coefficients from the
+    # half tables sit within 1e-13 of max(1, |C_r|) of the paired sweep
+    # (read at most 6.1e-15, on the rotation)
+    for loc in derived_trace_tables():
+        assert any(w is not None for w in zeta._derived_weights(loc, 1)), loc.label
+        for n in range(1, 11):
+            got = power_trace_coefficients(loc, n, 30)
+            want = zeta._swept_coefficients(loc, n, 30)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), \
+                (loc.label, n)
+
+
+def test_rotation_traces_from_the_half_tables():
+    # C_r = cos(r xi)^(n-1), with no sweep, to n = 12 (read at most 1.7e-14)
+    r = np.arange(1, 31)
+    for xi in (0.3, 0.7, 1.3, 2.9):
+        for n in range(1, 13):
+            got = power_trace_coefficients(qca_rotation_local(xi), n, 30)
+            assert np.abs(got - np.cos(r * xi) ** (n - 1)).max() <= 1e-13, (xi, n)
+
+
+def test_derived_halves_never_sweep(monkeypatch):
+    # where both halves derive, the traces take O(n r_max) and no sweep
+    both = [loc for loc in derived_trace_tables()
+            if all(w is not None for w in zeta._derived_weights(loc, 1))]
+    assert len(both) == 10 + 4 + 4 + 1  # CA rules, DK at q = 1, rotations, equal halves
+
+    def refused(*args, **kwargs):
+        raise AssertionError("swept a table whose halves both derive")
+
+    monkeypatch.setattr(zeta, "_sweep_2d", refused)
+    for loc in both:
+        for n in (1, 2, 7, 14):
+            power_trace_coefficients(loc, n, 5)
+            if zeta._column_sum_radius(loc, n) is not None:
+                zeta_log_series(loc, n, 5)
+
+
+def test_split_sweep_matches_the_dense_halves(rng):
+    # one sweep per power of paired columns of Q_(n-1) beside basis columns
+    # of B_c(n) = Q_n[c::2, c::2] reads the traces of B_0(n-1), B_1(n-1) and
+    # B_c(n) from their dense powers, for either swept half c
+    tables = [dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng),
+              random_local_operator("pca", rng)]
+    for loc in tables:
+        for n in range(2, 8):
+            halves = [b for q in (oracle_global(loc, n - 1), oracle_global(loc, n))
+                      for b in (q[0::2, 0::2], q[1::2, 1::2])]
+            for c in (0, 1):
+                got = zeta._split_sweeps(loc, n, 6, c)
+                powers = [np.eye(len(b)) for b in halves]
+                for r in range(6):
+                    powers = [b @ p for b, p in zip(halves, powers)]
+                    want = [np.trace(p) for p in (*powers[:2], powers[2 + c])]
+                    for g, w in zip(got[:, r], want):
+                        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (loc.label, n, c, r)
+
+
+def test_sweep_through_a_spare_buffer(rng):
+    # with a spare buffer the sweep writes the state and the spare in turn
+    # and returns whichever holds Q_n times the state
+    for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
+        blocks = _sweep_blocks(loc.matrix)
+        for n in range(1, 8):
+            states = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+            want = oracle_global(loc, n) @ states
+            spare = np.empty_like(states)
+            got = _sweep_2d(blocks, n, states.copy(), spare)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (loc.label, n)
 
 
 def test_sweep_norms_match_dense_powers(rng):
