@@ -28,7 +28,7 @@ from .operators import (
 from .spectral import (
     SpectrumMultiset,
     _check_eig_dim,
-    _derived_halves,
+    _derived_kinds,
     _spectrum_eigvals,
     _unit_sums,
     block_certificate,
@@ -88,7 +88,7 @@ def _t_family(local: LocalOperator) -> bool:
 
 
 def _derivable(local: LocalOperator) -> bool:
-    return any(_derived_halves(local))
+    return any(_derived_kinds(local))
 
 
 def _rotation_angle(local: LocalOperator) -> float:
@@ -145,6 +145,14 @@ def _check_traces(local: LocalOperator, n_sites: int, r_max: int):
     return diff / max(1.0, abs(swept)), {}
 
 
+def _trace_error(local: LocalOperator, n_sites: int, r_max: int) -> float:
+    """C_1..C_rmax from `power_trace_coefficients` against the paired
+    sweep's, relative to max(1, |C_r|) of the latter."""
+    swept = _swept_coefficients(local, n_sites, r_max)
+    error = np.abs(power_trace_coefficients(local, n_sites, r_max) - swept)
+    return float((error / np.maximum(1.0, np.abs(swept))).max())
+
+
 def _check_spectral_recursion(local: LocalOperator, n_sites: int, r_max: int):
     """Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D), D the diagonal of
     the two column-block shifts over the halves of the index space.
@@ -152,7 +160,9 @@ def _check_spectral_recursion(local: LocalOperator, n_sites: int, r_max: int):
     Decided by `block_certificate`: matching computed eigenvalues one by one
     is ill-posed when the spectra are (near-)defective, where a Jordan block
     of size m scatters its eigenvalue by about eps^(1/m).  The matched
-    eigenvalue distance is kept for reference.
+    eigenvalue distance is kept for reference.  Side measure `trace_error`:
+    C_1..C_rmax of Q_(n+1) from `power_trace_coefficients`, which takes them
+    from the certified blocks, against the paired sweep (see `_trace_error`).
     """
     _check_eig_dim(2 ** (n_sites + 1))
     qn = build_global_recursive(local, n_sites).dense
@@ -163,7 +173,9 @@ def _check_spectral_recursion(local: LocalOperator, n_sites: int, r_max: int):
     rhs = SpectrumMultiset.from_pairs(np.concatenate([a.values, b.values]),
                                       np.concatenate([a.multiplicities, b.multiplicities]),
                                       lhs.source_dim)
-    return block_certificate(qn1, qn, d), {"eigenvalue_distance": match_multisets(lhs, rhs, 0.0)[1]}
+    return block_certificate(qn1, qn, d), {
+        "eigenvalue_distance": match_multisets(lhs, rhs, 0.0)[1],
+        "trace_error": _trace_error(local, n_sites + 1, r_max)}
 
 
 def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
@@ -192,18 +204,14 @@ def _check_derived_halves(local: LocalOperator, n_sites: int, r_max: int):
     the half tables against those of `eig_dense` on the dense Q_n, relative
     to max(1, sum |lambda|^r) of the latter.  Side measure `trace_error`:
     the coefficients `power_trace_coefficients` derives from the half
-    tables against those of the paired sweep, relative to max(1, |C_r|) of
-    the latter."""
+    tables against the paired sweep (see `_trace_error`)."""
     _check_eig_dim(2 ** n_sites)
     got = _spectrum_eigvals(local, n_sites)
     want = eig_dense(build_global_recursive(local, n_sites).dense)
     r = np.arange(1, r_max + 1)[:, None]
     diff = np.abs((got ** r).sum(axis=1) - (want.multiplicities * want.values ** r).sum(axis=1))
     scale = np.maximum(1.0, (want.multiplicities * np.abs(want.values) ** r).sum(axis=1))
-    swept = _swept_coefficients(local, n_sites, r_max)
-    trace_error = np.abs(power_trace_coefficients(local, n_sites, r_max) - swept)
-    return float((diff / scale).max()), {
-        "trace_error": float((trace_error / np.maximum(1.0, np.abs(swept))).max())}
+    return float((diff / scale).max()), {"trace_error": _trace_error(local, n_sites, r_max)}
 
 
 def _check_rotation(local: LocalOperator, n_sites: int, r_max: int):

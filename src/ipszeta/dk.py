@@ -39,6 +39,8 @@ _Z95 = 1.959963984540054
 # Bytes of uniforms a block of Monte Carlo trials holds at once; it also sets
 # the number of trials in a block.
 _DRAW_BYTES = 1 << 19
+# Seeds each trial's bit generator before `_trial_stream` sets its key.
+_STREAM_SEED = np.random.SeedSequence(0)
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,17 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _trial_stream(base_seed: int, trial: int):
-    key = np.array([base_seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """The Generator of `Philox(key=(base_seed, trial))`: counter 0 and an
+    empty buffer.  The bit generator is seeded from one fixed seed sequence
+    and then given that state, since `Philox(key=...)` would first draw OS
+    entropy for a seed sequence that the key overrides."""
+    bits = np.random.Philox(_STREAM_SEED)
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": np.zeros(4, dtype=np.uint64),
+                            "key": np.array([base_seed, trial], dtype=np.uint64)},
+                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
 
 
 def _block_layout(window: int) -> tuple[int, int]:

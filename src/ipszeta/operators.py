@@ -218,8 +218,11 @@ def _recursion_step(local: LocalOperator, q: np.ndarray) -> np.ndarray:
 
     Adding a site on the left multiplies (I_2 (x) Q_m) by (Q_local (x) I), so
     entry ((k, r), (i, j, y)) of Q_(m+1) is a[(k,j),(i,j)] * Q_m[r, (j, y)].
+    A real Q_m is multiplied by the table as `_sweep_table` gives it, so a
+    real table keeps it real.
     """
-    a3 = local.matrix.reshape(2, 2, 2, 2).diagonal(axis1=1, axis2=3)  # [k, i, j] = a[(k,j),(i,j)]
+    a = local.matrix if q.dtype.kind == "c" else _sweep_table(local.matrix)
+    a3 = a.reshape(2, 2, 2, 2).diagonal(axis1=1, axis2=3)  # [k, i, j] = a[(k,j),(i,j)]
     d = q.shape[0]
     # C order keeps the reshape a view; the strided a3 would steer the layout
     out = np.multiply(a3[:, None, :, :, None], q.reshape(1, d, 1, 2, d // 2), order="C")

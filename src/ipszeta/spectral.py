@@ -18,8 +18,9 @@ closed too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from itertools import islice
 from math import comb
+from typing import ClassVar
 
 import numpy as np
 
@@ -196,13 +197,19 @@ def _eigvals_checked(a: np.ndarray) -> np.ndarray:
     cross block, a[1::2, 0::2] under a[0::2, 0::2] or a[0::2, 1::2] above
     a[1::2, 1::2], a block's eigenvector padded with zeros is one of the
     whole, so checking that block is at least as strict; the other block's
-    pairs are its own, whose eigenvalues are the whole's.
+    pairs are its own, whose eigenvalues are the whole's.  A finite 1 x 1
+    matrix is its own eigenvalue, with residual exactly 0, and is not handed
+    to the solver; a non-finite one raises NoConvergence.
     """
     if np.iscomplexobj(a):
         a = _sweep_table(a.astype(complex, copy=False))
     else:
         a = a.astype(np.float64, copy=False)
-    if len(a) > 1 and not (a[1::2, 0::2].any() and a[0::2, 1::2].any()):
+    if len(a) == 1:  # its entry, with residual exactly 0
+        if not np.isfinite(a).all():
+            raise NoConvergence("dense eigensolver failed: non-finite entry %r" % a[0, 0])
+        return a[0].copy()
+    if not (a[1::2, 0::2].any() and a[0::2, 1::2].any()):
         return np.concatenate([_eigvals_checked(a[0::2, 0::2]), _eigvals_checked(a[1::2, 1::2])])
     try:
         w, v = np.linalg.eig(a)
@@ -267,21 +274,17 @@ def block_certificate(q_big: np.ndarray, q_small: np.ndarray, d) -> float:
     H-G = Q_n D this is block lower triangular, which proves
     Spec(Q_{n+1}) = Spec(Q_n) united with Spec(Q_n D) exactly.  d holds the
     diagonal of D (or one scalar).  Returns the largest entry of
-    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|); the
-    three differences are formed one after another in one quadrant buffer.
+    |E+G - Q_n|, |F+H - Q_n| and |H-G - Q_n D| over max(1, max|Q_n|).
+    E+G and F+H come from one sum over the row halves, side by side in one
+    buffer of two quadrants; H-G - Q_n D takes one more.
     """
-    h = q_big.shape[0] // 2
-    e, f = q_big[:h, :h], q_big[:h, h:]
-    g, hh = q_big[h:, :h], q_big[h:, h:]
-    s = e + g
-    s -= q_small
-    worst = float(np.abs(s).max())
-    np.add(f, hh, out=s)
-    s -= q_small
-    worst = max(worst, float(np.abs(s).max()))
-    np.subtract(hh, g, out=s)
-    s -= q_small * d
-    worst = max(worst, float(np.abs(s).max()))
+    h = len(q_small)
+    quadrants = q_big.reshape(2, h, 2, h)
+    sums = quadrants.sum(axis=0)  # E+G and F+H side by side
+    sums -= q_small[:, None]
+    shifted = quadrants[1, :, 1] - quadrants[1, :, 0]
+    shifted -= q_small * d
+    worst = max(float(np.abs(sums).max()), float(np.abs(shifted).max()))
     return worst / max(1.0, float(np.abs(q_small).max()))
 
 
@@ -290,31 +293,50 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
+def _certified_blocks(local: LocalOperator, c: int):
+    """The blocks C_m = B_c(m) (D_m)_c of the last-site half c for
+    m = 1, 2, ..., each yielded as (C_m, B_c(m+1)) once level m passes
+    half c's `block_certificate` within 1e-12; at the first level that
+    fails, (None, B_c(m+1)), and nothing more.  Callers stop it at the
+    level they need.
+
+    B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
+    site a level, in the dtype of `_sweep_table`: a real table grows in
+    float64.  While levels 1..m-1 pass, the paper's spectral recursion
+    holds within half c: Spec B_c(m) = {1} united with Spec C_j for j < m,
+    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  A level holds B_c(m),
+    B_c(m+1) and the certificate's three quadrants of B_c(m+1), with their
+    absolute values.
+    """
+    table = _sweep_table(local.matrix)
+    shifts = _sweep_table(np.array(shift_coefficients(local)))
+    b = np.ones((1, 1), dtype=table.dtype)
+    grown = table[c::2, c::2]
+    while True:
+        d = np.repeat(shifts, len(b))[c::2]
+        if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
+            yield None, grown
+            return
+        yield b * d, grown
+        b, grown = grown, _recursion_step(local, grown)
+
+
 def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> list:
     """Eigenvalues of the last-site halves B_c(m) = Q_m[c::2, c::2] for
-    m = first..n_sites, grown one site at a time from B_c(1) = [1] and
-    B_c(2) = M_c by the block recursion.
+    m = first..n_sites, from one run of `_certified_blocks`.
 
-    The recursion runs once.  While levels 1..m-1 pass this half's
-    `block_certificate` within 1e-12 against (D_j)_c, Spec B_c(m) is {1}
-    united with Spec B_c(j) (D_j)_c for j < m, each block solved once its
-    level is proven, so one run gives every such B_c(m) as a prefix of its
-    blocks.  At the first level that fails, the cap on 2^(n-1) is checked
-    and each larger B_c(m) from `first` on is grown and solved whole.
+    While levels 1..m-1 pass, Spec B_c(m) is {1} united with the spectra
+    of the blocks below level m, each block solved once, so one run gives
+    every such B_c(m) as a prefix of its blocks.  At the first level that
+    fails, the cap on 2^(n-1) is checked and each larger B_c(m) from
+    `first` on is grown and solved whole.
     """
-    shifts = np.array(shift_coefficients(local))
-    b = np.ones((1, 1), dtype=complex)
-    blocks = [np.ones(1)]
-    for m in range(1, n_sites):
-        grown = _recursion_step(local, b) if m > 1 else local.matrix[c::2, c::2]
-        d = np.repeat(shifts, 1 << (m - 1))[c::2]
-        if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
+    blocks, grown = [np.ones(1)], None
+    for block, grown in islice(_certified_blocks(local, c), n_sites - 1):
+        if block is None:
             break
-        blocks.append(_eigvals_checked(b * d))
-        b = grown
-    else:
-        m = n_sites
-    # levels up to m are proven by their blocks
+        blocks.append(_eigvals_checked(block))
+    m = len(blocks)  # levels up to m are proven by their blocks
     out = [np.concatenate(blocks[:k]) for k in range(first, m + 1)]
     if m < n_sites:
         _check_eig_dim(2 ** (n_sites - 1))
@@ -325,6 +347,17 @@ def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> lis
             if k >= first:
                 out.append(_eigvals_checked(b))
     return out
+
+
+def _derived_kinds(local: LocalOperator) -> list:
+    """For each last-site half c, how `_derived_halves` derives b_c(m) from
+    level m-1: "equal" where the half tables M_0 and M_1 are exactly equal,
+    else "triangular" where M_c has an exact zero off its diagonal, else
+    None.  Exact tests, with no solve."""
+    halves = [local.matrix[c::2, c::2] for c in (0, 1)]
+    if np.array_equal(*halves):
+        return ["equal", "equal"]
+    return ["triangular" if m[0, 1] == 0 or m[1, 0] == 0 else None for m in halves]
 
 
 def _derived_halves(local: LocalOperator) -> list:
@@ -340,12 +373,12 @@ def _derived_halves(local: LocalOperator) -> list:
     checked 2x2 solve of M_c.  Both hold with algebraic multiplicities and
     are decided by exact tests, with no tolerance.
     """
+    kinds = _derived_kinds(local)
     halves = [local.matrix[c::2, c::2] for c in (0, 1)]
-    if np.array_equal(*halves):
+    if kinds[0] == "equal":
         mu = _eigvals_checked(halves[0])
         return [[(mu[0], c), (mu[1], c)] for c in (0, 1)]
-    return [[(m[0, 0], 0), (m[1, 1], 1)] if m[0, 1] == 0 or m[1, 0] == 0 else None
-            for m in halves]
+    return [[(m[0, 0], 0), (m[1, 1], 1)] if kind else None for m, kind in zip(halves, kinds)]
 
 
 def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
@@ -390,10 +423,10 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     never formed.  The byte budget of one dense operator of Q_n and the
     eigensolver cap on 2^(n-2) are checked before anything is built, the
     cap on 2^(n-1) when a level fails.  One half is grown at a time:
-    B_c(n-1) and B_c(n), five sixteenths, beside a block's eigensolve or the
-    certificate's buffers; or one B_c(n) beside its eigensolve.  Each solve
-    is checked as in `eig_dense`, and the union of both halves is clustered
-    once.
+    B_c(n-1) and B_c(n), five sixteenths (half that for a real table, grown
+    in float64), beside a block's eigensolve or the certificate's buffers;
+    or one B_c(n) beside its eigensolve.  Each solve is checked as in
+    `eig_dense`, and the union of both halves is clustered once.
     """
     return _cluster(_spectrum_eigvals(local, n_sites))
 

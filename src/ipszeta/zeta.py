@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ParamOutOfRange, SingularFactor
 from .operators import (
+    _BYTE_BUDGET,
     LocalOperator,
     _charge,
     _check_budget,
@@ -24,7 +26,7 @@ from .operators import (
     _sweep_blocks,
     _sweep_table,
 )
-from .spectral import _derived_halves, _spectrum_eigvals
+from .spectral import _certified_blocks, _derived_kinds, _spectrum_eigvals
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
@@ -87,66 +89,6 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     return traces, norms
 
 
-def _split_sweeps(local: LocalOperator, n_sites: int, r_max: int, half: int) -> np.ndarray:
-    """tr B_0(n-1)^r, tr B_1(n-1)^r and tr B_c(n)^r for r = 1..r_max and
-    c = `half`, as the rows of a (3, r_max) array, by one sweep of each
-    batch per power; n >= 2.
-
-    On the 2^(n-1) rows whose last site is c, B_c(n) = (I (x) M_c) Q_(n-1):
-    the pairs before (n-2, n-1) act as in Q_(n-1), and that last pair moves
-    site n-2 alone, by M_c.  So a batch holds 2^(n-2)-wide groups of
-    columns side by side on those rows: paired columns e_(2j) + e_(2j+1) of
-    Q_(n-1), whose even and odd rows keep B_0(n-1) and B_1(n-1) apart as in
-    `_trace_sweeps`, and basis columns e_j and e_(j+2^(n-2)) of B_c(n).
-    `_sweep_2d` takes every column through the passes the two operators
-    share, all through Q_3, over sites 0..f with f = n-3 for odd n and n-2
-    for even n, as the (f+1)-site sweep of the batch's (2^(f+1), rest)
-    view.  The last pass, from site f on, then takes the paired columns
-    through Q_(n-1)'s own last block, the table or the identity, and the
-    basis columns through rows and columns c of B_c(n)'s last block,
-    Q_3[c::2, c::2] or M_c.  The work is three quarters of the paired sweep
-    at level n, in one call of `_sweep_2d` per power; buffers and batches
-    as in `_trace_sweeps`, and the r_max-long sums charged on their own.
-    """
-    _admit_traces(n_sites, r_max, 112)
-    blocks = a, q3 = _sweep_blocks(local.matrix)
-    dtype = a.dtype
-    if n_sites % 2:  # the last pass covers sites n-3 and n-2
-        tails = [a, np.ascontiguousarray(q3[half::2, half::2])]
-    else:  # the last pass covers site n-2
-        tails = [np.eye(2, dtype=dtype), np.ascontiguousarray(a[half::2, half::2])]
-    size = len(tails[0])
-    first = n_sites - size.bit_length()  # f, the site the last pass starts at
-    rows = 1 << (n_sites - 1)
-    quarter = rows >> 1
-    batch = max(1, min(quarter, _TRACE_BATCH_BYTES // (3 * rows * dtype.itemsize)))
-    sums = np.zeros((r_max, 4), dtype=complex)
-    for start in range(0, quarter, batch):
-        cols = np.arange(start, min(start + batch, quarter))
-        width = len(cols)
-        k = cols - start
-        # flat indices of entries (2j, k) and (2j+1, k) of the paired group,
-        # (j, width + k) and (j + 2^(n-2), 2 width + k) of the basis groups
-        diag = np.stack([2 * cols * 3 * width + k, (2 * cols + 1) * 3 * width + k,
-                         cols * 3 * width + width + k,
-                         (cols + quarter) * 3 * width + 2 * width + k], axis=1)
-        states = np.zeros((rows, 3 * width), dtype=dtype)
-        states.reshape(-1)[diag] = 1.0
-        spare = np.empty_like(states)
-        shape = (1 << (first + 1), -1)
-        for r in range(r_max):
-            views = states.reshape(shape), spare.reshape(shape)
-            if _sweep_2d(blocks, first + 1, *views) is views[1]:
-                states, spare = spare, states
-            x = states.reshape(1 << first, size, -1)
-            y = spare.reshape(x.shape)
-            for tail, part in zip(tails, (slice(0, width), slice(width, None))):
-                np.matmul(tail, x[..., part], out=y[..., part])
-            states, spare = spare, states
-            sums[r] += states.take(diag).sum(axis=0)
-    return np.stack([sums[:, 0], sums[:, 1], sums[:, 2] + sums[:, 3]])
-
-
 def _swept_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """C_1..C_rmax from the paired sweep of both halves alone, with no half
     derived; the reference the closed forms and the derived traces are
@@ -154,36 +96,92 @@ def _swept_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.nd
     return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0] / (1 << n_sites)
 
 
+def _powers(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """m, m^2, ..., m^k into the (k, d, d) stack `out`, by doubling,
+    m^(i+j) = m^i m^j, in about log2(k) batched products; returns `out`."""
+    out[0] = m
+    done = 1
+    while done < len(out):
+        more = min(done, len(out) - done)
+        np.matmul(out[done - 1], out[:more], out=out[done:done + more])
+        done += more
+    return out
+
+
+def _baby_giant(r_max: int) -> tuple[int, int]:
+    """Baby steps k = ceil(sqrt(r_max)) and giant steps ceil(r_max / k)."""
+    k = math.isqrt(r_max - 1) + 1
+    return k, -(-r_max // k)
+
+
+def _block_traces(block: np.ndarray, r_max: int, spare: np.ndarray) -> np.ndarray:
+    """tr C^r for r = 1..r_max of a square block C, by baby steps and giant
+    steps: the babies C..C^k and the giants (C^T)^(jk) for j < J, with k
+    and J from `_baby_giant`, both by `_powers`, give
+    tr C^(jk+a) = <(C^T)^(jk), C^a>, the sum of their entrywise product,
+    all in one matrix product.  The k + J blocks of the two stacks are the
+    front of the flat buffer `spare`, of C's dtype."""
+    k, giant_steps = _baby_giant(r_max)
+    stacks = spare[:(k + giant_steps) * block.size].reshape(k + giant_steps, *block.shape)
+    babies, giants = _powers(block, stacks[:k]), stacks[k:]
+    giants[0] = 0
+    np.fill_diagonal(giants[0], 1)
+    if giant_steps > 1:
+        _powers(babies[-1].T, giants[1:])
+    return (giants.reshape(giant_steps, -1) @ babies.reshape(k, -1).T).ravel()[:r_max]
+
+
+def _block_route_bytes(local: LocalOperator, n_sites: int, r_max: int) -> int:
+    """Bytes the certified block route of one half holds at its peak, in
+    the dtype of `_sweep_table`, counted in blocks of the largest
+    dimension 2^(n-2): B_c(n-1) and B_c(n) (5 blocks), the buffer for the
+    babies and giants of every block, the certificate's two column sums,
+    its shifted difference and their absolute values (5) beside the block
+    below (a quarter), or the block C_(n-1) (1); and the (n, r_max) traces
+    of both halves."""
+    blocks = 11 + sum(_baby_giant(r_max))
+    block = _sweep_table(local.matrix).dtype.itemsize << 2 * max(n_sites - 2, 0)
+    return blocks * block + 32 * n_sites * r_max
+
+
+def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.ndarray | None:
+    """t_c(m) = tr B_c(m)^r for m = 1..n and r = 1..r_max as the rows of
+    an (n, r_max) array, t_c(m) = 1 + sum_(j<m) tr C_j^r over the blocks
+    of `spectral._certified_blocks`, each by `_block_traces` in one buffer
+    sized for the largest; None if a level below n fails its certificate."""
+    table = _sweep_table(local.matrix)
+    spare = np.empty(sum(_baby_giant(r_max)) << 2 * max(n_sites - 2, 0), dtype=table.dtype)
+    t = np.ones((n_sites, r_max), dtype=complex)
+    for m, (block, _) in enumerate(islice(_certified_blocks(local, c), n_sites - 1), 1):
+        if block is None:
+            return None
+        t[m] = t[m - 1] + _block_traces(block, r_max, spare)
+    return t
+
+
 def _derived_weights(local: LocalOperator, r_max: int) -> list:
     """For each last-site half c, a (2, r_max) array W with
     tr B_c(m)^r = W[0, r-1] t_0(m-1) + W[1, r-1] t_1(m-1), t_i(m) = tr B_i(m)^r,
-    wherever `spectral._derived_halves` derives b_c(m) from level m-1; else
+    wherever `spectral._derived_kinds` derives b_c(m) from level m-1; else
     None.
 
-    Both forms come from the powers of the half table M_c.  With an exact
-    zero off its diagonal, b_c(m) = (M_c)_00 b_0(m-1) united with
-    (M_c)_11 b_1(m-1), so W holds the diagonal of M_c^r, whose entries are
-    exactly the products of M_c's, since the zero stays exact.  With equal
-    half tables, b_c(m) = mu_0 b_c(m-1) united with mu_1 b_c(m-1), so
-    W[c] = mu_0^r + mu_1^r = tr M_c^r: read from the powers, it is sharper
-    than the sum of the eigenvalues' powers.  The powers are formed by
-    doubling, M^(k+j) = M^k M^j, in about log2(r_max) batched products.
+    Both forms come from the powers of the half table M_c, by `_powers`.
+    With an exact zero off its diagonal, b_c(m) = (M_c)_00 b_0(m-1) united
+    with (M_c)_11 b_1(m-1), so W holds the diagonal of M_c^r, whose entries
+    are exactly the products of M_c's, since the zero stays exact.  With
+    equal half tables, b_c(m) = mu_0 b_c(m-1) united with mu_1 b_c(m-1), so
+    W[c] = mu_0^r + mu_1^r = tr M_c^r: read from the powers, with no solve
+    for mu_0 and mu_1, and sharper than the sum of their powers.
     """
     table = _sweep_table(local.matrix)
     out = []
-    for c, terms in enumerate(_derived_halves(local)):
-        if not terms:
+    for c, kind in enumerate(_derived_kinds(local)):
+        if kind is None:
             out.append(None)
             continue
-        powers = np.empty((r_max, 2, 2), dtype=table.dtype)
-        powers[0] = table[c::2, c::2]
-        done = 1
-        while done < r_max:
-            more = min(done, r_max - done)
-            np.matmul(powers[done - 1], powers[:more], out=powers[done:done + more])
-            done += more
+        powers = _powers(table[c::2, c::2], np.empty((r_max, 2, 2), dtype=table.dtype))
         w = np.zeros((2, r_max), dtype=complex)
-        if terms[0][1] == terms[1][1]:  # equal half tables: both terms from half c
+        if kind == "equal":  # both terms from half c
             w[c] = np.trace(powers, axis1=1, axis2=2)
         else:
             w[:] = np.diagonal(powers, axis1=1, axis2=2).T
@@ -195,40 +193,43 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """tr(Q^r) for r = 1..r_max from the last-site halves, t_0(n) + t_1(n)
     with t_c(n) = tr B_c(n)^r, by the recursion of
     `spectral._spectrum_eigvals`: a half that `_derived_weights` allows
-    takes t_c(m) from t_0(m-1) and t_1(m-1).
+    takes t_c(m) from t_0(m-1) and t_1(m-1), any other takes every t_c(m)
+    from its certified blocks (see `_half_traces`).
 
-    If both halves derive (the QCA rotation, DK at q = 1, 9 of the 16 CA
-    rules and (NOT, NOT)), the recursion runs from t_c(1) = 1 to level n in
-    O(n r_max), with no sweep.  If one half derives (every other DK table,
-    whose vacant half M_0 is triangular), the other half is swept alone on
-    its 2^(n-1) basis columns, and the derived half takes t_0(n-1) and
-    t_1(n-1) from paired columns at level n-1 swept beside them (see
-    `_split_sweeps`): together three quarters of the paired sweep at level
-    n.  If neither derives, that paired sweep.  Checked as `_trace_sweeps`;
-    the r_max-long arrays (the half tables' powers, the weights and the
-    traces of each level) are charged at 256 bytes a power.
+    So where both halves derive (the QCA rotation, DK at q = 1, 9 of the 16
+    CA rules and (NOT, NOT)) the recursion runs from t_c(1) = 1 to level n
+    in O(n r_max), with no sweep.  Where a half must be solved, its blocks
+    C_m of dimension up to 2^(n-2) give it, about 2 sqrt(r_max) products a
+    block, on tables whose columns sum to 1 (every other DK table, bond DK,
+    PCA, CA, complex-stochastic).  If a level of such a half fails its
+    certificate, or the block route's bytes (`_block_route_bytes`) exceed
+    the byte budget, the traces come from the paired sweep at level n
+    instead.  Checked as `_trace_sweeps`; the r_max-long arrays of the
+    derived halves (the half tables' powers, the weights and the traces of
+    each level) are charged at 256 bytes a power.
     """
     _admit_traces(n_sites, r_max, 256)
     weights = _derived_weights(local, r_max)
-    if n_sites == 1 or all(w is not None for w in weights):
-        t = np.ones((2, r_max), dtype=complex)
-        for _ in range(n_sites - 1):
-            t = np.stack([(w * t).sum(axis=0) for w in weights])
-        return t.sum(axis=0)
-    if all(w is None for w in weights):
-        return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
-    c = 0 if weights[0] is None else 1  # the swept half
-    t = _split_sweeps(local, n_sites, r_max, c)
-    return t[2] + (weights[1 - c] * t[:2]).sum(axis=0)
+    fits = _block_route_bytes(local, n_sites, r_max) <= _BYTE_BUDGET
+    solved = [None, None]
+    for c, w in enumerate(weights):
+        if w is None:
+            solved[c] = _half_traces(local, n_sites, r_max, c) if fits else None
+            if solved[c] is None:
+                return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
+    t = np.ones((2, r_max), dtype=complex)
+    for m in range(1, n_sites):
+        t = np.stack([solved[c][m] if w is None else (w * t).sum(axis=0)
+                      for c, w in enumerate(weights)])
+    return t.sum(axis=0)
 
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves: a half
-    derived from its half table by an O(n r_max) recursion, any other swept
-    on its 2^(n-1) basis columns (see `_power_traces`).
-
-    The diagonal of each swept power is accumulated from matrix-free
-    applications, so no dense power is ever stored.
+    derived from its half table by an O(n r_max) recursion, any other from
+    the traces of its certified blocks, or from the paired sweep where a
+    certificate fails (see `_power_traces`).  No dense power of Q is ever
+    stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 

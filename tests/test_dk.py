@@ -230,6 +230,18 @@ def test_scan_is_reproducible():
 
 
 # Survived counts recorded from the per-trial step loop before any rewrite.
+def test_trial_stream_is_the_keyed_philox():
+    # seeded from one fixed seed sequence, then keyed: the same stream as
+    # Philox(key=(base_seed, trial)), with no entropy drawn
+    for base_seed, trial in ((0, 0), (1, 2), (12345, 999), (2 ** 64 - 1, 0), (3, 2 ** 64 - 1),
+                             (2 ** 64 - 1, 2 ** 64 - 1)):
+        key = np.array([base_seed, trial], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        got = dk._trial_stream(base_seed, trial)
+        for count in (1001, 7):  # 1001 ends inside a block of four outputs
+            assert np.array_equal(got.random(count), want.random(count)), (base_seed, trial)
+
+
 # Every (base_seed, trial) Philox stream is fixed, so a rewrite that keeps the
 # draw layout reproduces them exactly for any worker count.  The two non-q=1
 # cases pin the in-step draw order (low site first); trial counts above one

@@ -31,7 +31,7 @@ from ipszeta.spectral import (
 )
 from ipszeta.zeta import power_trace_coefficients, zeta_det
 
-from conftest import ca_rules, oracle_global
+from conftest import ca_rules, half_unit_sums, large_stochastic, oracle_global
 
 
 def mk(pairs):
@@ -179,6 +179,8 @@ def test_spectral_recursion_near_defective_pca():
     assert rep.passed
     assert rep.worst_residual < 1e-14
     assert "eigenvalue_distance" in rep.details
+    # C_r of Q_4 from the certified blocks against the paired sweep
+    assert rep.details["trace_error"] <= 1e-13
 
 
 def test_block_certificate_shift_family():
@@ -333,8 +335,9 @@ def test_from_eigenvalues_mirrors_conjugation_closed_input(rng):
 
 
 def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
-    # DK's half 0 splits down to 1 x 1 blocks, whose every eigenvector passes;
-    # the first larger block, the 2 x 2 (1/2) M_1, fails in real arithmetic
+    # DK's half 0 splits down to 1 x 1 blocks, which are their own
+    # eigenvalues and never reach the solver; the first block solved, the
+    # 2 x 2 (1/2) M_1, fails in real arithmetic
     q = build_global_recursive(dk_local_operator(DKParams(0.5, 0.75)), 4).dense
     seen = []
     true_eig = np.linalg.eig
@@ -346,7 +349,20 @@ def test_eig_dense_real_path_still_checks_residuals(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", perturbed)
     with pytest.raises(NoConvergence, match="residual"):
         eig_dense(q)
-    assert seen == [(np.float64, (1, 1))] * 2 + [(np.float64, (2, 2))]
+    assert seen == [(np.float64, (2, 2))]
+
+
+def test_one_by_one_blocks_skip_the_solver(eig_shapes):
+    # a finite 1 x 1 block is its own eigenvalue, in its own dtype; a
+    # non-finite one still raises
+    for a, dtype in ((np.array([[0.25]]), np.float64), (np.array([[0.5 - 2j]]), complex),
+                     (np.array([[3.0 + 0j]]), np.float64)):
+        got = spectral._eigvals_checked(a)
+        assert got.tolist() == [a[0, 0]] and got.dtype == dtype
+    assert eig_shapes == []
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        with pytest.raises(NoConvergence):
+            spectral._eigvals_checked(np.array([[bad]]))
 
 
 def split_tables(rng):
@@ -389,11 +405,11 @@ def test_last_site_split_solves_two_halves(rng, eig_shapes):
         eig_dense(build_global_recursive(tables[key], 6).dense)
         assert eig_shapes == [(32, 32), (32, 32)], key
     # DK's half table M_0 is triangular, so half 0 splits again at every
-    # site, down to 1 x 1 blocks; half 1 is solved whole
+    # site, down to 1 x 1 blocks that need no solve; half 1 is solved whole
     eig_shapes.clear()
     q = build_global_recursive(tables["dk"], 6).dense
     eig_dense(q)
-    assert eig_shapes == [(1, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
+    assert eig_shapes == [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
     # one tiny entry in each cross block: the single full-size solve
     q[1, 0] = q[0, 1] = 1e-300
     eig_shapes.clear()
@@ -405,7 +421,7 @@ def test_last_site_split_solves_two_halves(rng, eig_shapes):
     q[0, 1] = 0
     eig_shapes.clear()
     got = spectral._eigvals_checked(q)
-    assert eig_shapes == [(1, 1), (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
+    assert eig_shapes == [(2, 2), (4, 4), (8, 8), (16, 16), (32, 32)]
     halves = [spectral._eigvals_checked(q[c::2, c::2]) for c in (0, 1)]
     assert np.array_equal(got, np.concatenate(halves))
 
@@ -522,24 +538,6 @@ def test_spectrum_single_site(rng):
     for loc in unit_sum_tables(rng) + [random_local_operator("general", rng)]:
         spec = spectrum(loc, 1)
         assert spec.values.tolist() == [1.0] and spec.multiplicities.tolist() == [2]
-
-
-def large_stochastic():
-    """Complex-stochastic table with entries near 1e4: its columns sum to 1,
-    but its block certificates fail from n = 4 on."""
-    m = np.zeros((4, 4), dtype=complex)
-    for c in range(4):
-        z = 1e4 * (0.6 + 0.8j) * (1 + 0.1 * c)
-        m[c % 2, c], m[2 + c % 2, c] = z, 1 - z
-    return make_local_operator(m, "large-stochastic")
-
-
-def half_unit_sums():
-    """DK table with the columns of half 1 scaled by 0.9: the columns of half
-    0 sum to 1, those of half 1 to 0.9."""
-    m = dk_local_operator(DKParams(0.5, 0.75)).matrix.copy()
-    m[:, 1::2] *= 0.9
-    return make_local_operator(m, "half-unit-sums")
 
 
 def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
@@ -750,7 +748,46 @@ def test_clustered_rotation_power_sums_are_sharp():
 
 def test_prefix_reuse_solves_each_block_once(eig_shapes):
     # DK's half 1 passes every certificate: one run of its block recursion
-    # gives every level, each block B_1(m) (D_m)_1 solved once
+    # gives every level, each block B_1(m) (D_m)_1 larger than 1 x 1 solved
+    # once
     n = 9
     spectrum(dk_local_operator(DKParams(0.5, 0.75)), n)
-    assert sorted(eig_shapes) == [(1 << (m - 1),) * 2 for m in range(1, n)]
+    assert sorted(eig_shapes) == [(1 << (m - 1),) * 2 for m in range(2, n)]
+
+
+def complex_grown_blocks(local, c, levels):
+    """Half c's blocks B_c(m) (D_m)_c for m = 1..levels, grown from B_c(1) =
+    [1] and B_c(2) = M_c in complex arithmetic throughout, by entry
+    ((k, r), (i, j, y)) of B_c(m+1) = a[(k,j),(i,j)] B_c(m)[r, (j, y)]."""
+    a3 = local.matrix.reshape(2, 2, 2, 2).diagonal(axis1=1, axis2=3)
+    shifts = np.array(shift_coefficients(local))
+    b, out = np.ones((1, 1), dtype=complex), []
+    for m in range(1, levels + 1):
+        out.append(b * np.repeat(shifts, len(b))[c::2])
+        d = len(b)
+        b = (local.matrix[c::2, c::2] if m == 1 else
+             (a3[:, None, :, :, None] * b.reshape(1, d, 1, 2, d // 2)).reshape(2 * d, 2 * d))
+    return out
+
+
+def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
+    # real tables grow their halves in float64: every certified block equals
+    # the complex-grown one exactly and solves to the same bits, so the
+    # spectra are those of a complex growth
+    tables = [dk_local_operator(DKParams(0.5, 0.75)), dk_local_operator(DKParams(0.3, 0.6)),
+              dk_local_operator(DKParams.bond_percolation(0.6447)),
+              random_local_operator("pca", rng), random_local_operator("general", rng),
+              qca_rotation_local(0.7), *ca_rules()]
+    solved = 0
+    for loc in tables:
+        for c in (0, 1):
+            want = complex_grown_blocks(loc, c, 7)
+            for block, ref in zip((b for b, _ in spectral._certified_blocks(loc, c)), want):
+                if block is None:
+                    break
+                assert block.dtype == np.float64 and not ref.imag.any()
+                assert np.array_equal(block, ref.real), (loc.label, c)
+                got, ref_eigs = spectral._eigvals_checked(block), spectral._eigvals_checked(ref)
+                assert np.array_equal(got, ref_eigs) and got.dtype == ref_eigs.dtype
+                solved += 1
+    assert solved >= 100

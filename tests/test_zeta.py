@@ -1,10 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ipszeta import zeta
+from ipszeta import operators, zeta
 from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import SingularFactor, SizeCapExceeded
@@ -29,7 +30,14 @@ from ipszeta.zeta import (
     zeta_log_series,
 )
 
-from conftest import ca_rules, oracle_c_r, oracle_global
+from conftest import (
+    ca_rules,
+    exact_dk_traces,
+    half_unit_sums,
+    large_stochastic,
+    oracle_c_r,
+    oracle_global,
+)
 
 
 def test_power_traces_match_oracle(rng):
@@ -75,9 +83,8 @@ def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
     # the last site never moves, so a power sweeps paired columns
     # e_2j + e_(2j+1): 2^(n-1) columns of 2^n rows, half the 4^n entries of
     # Q^r, for a GENERAL table.  DK derives its triangular vacant half and
-    # sweeps, on the 2^(n-1) rows of its other half, 2^(n-2) paired columns
-    # of Q_(n-1) and 2^(n-1) basis columns of that half: three quarters of
-    # that.  At n = 1, where Q is the identity, neither sweeps
+    # takes the other from its certified blocks, so it sweeps nothing.  At
+    # n = 1, where Q is the identity, neither sweeps
     calls = []
     sweep = zeta._sweep_2d
 
@@ -89,12 +96,14 @@ def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
     r_max = 3
     dk, general = dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)
     for n in (1, 2, 5, 11):
-        for loc, entries in ((general, 4 ** n // 2), (dk, 3 * 4 ** n // 8)):
-            calls.clear()
-            zeta_log_series(loc, n, r_max)
-            # batch after batch, each swept once per power
-            got = [sum(calls[r::r_max]) for r in range(r_max)]
-            assert got == ([0] * r_max if n == 1 else [entries] * r_max), (loc.label, n)
+        calls.clear()
+        zeta_log_series(general, n, r_max)
+        # batch after batch, each swept once per power
+        got = [sum(calls[r::r_max]) for r in range(r_max)]
+        assert got == ([0] * r_max if n == 1 else [4 ** n // 2] * r_max), n
+        calls.clear()
+        zeta_log_series(dk, n, r_max)
+        assert calls == [], n
 
 
 def derived_trace_tables():
@@ -136,7 +145,8 @@ def test_rotation_traces_from_the_half_tables():
 
 
 def test_derived_halves_never_sweep(monkeypatch):
-    # where both halves derive, the traces take O(n r_max) and no sweep
+    # where both halves derive, the traces take O(n r_max), with no sweep
+    # and no eigensolve: equal half tables need tr M^r, not its eigenvalues
     both = [loc for loc in derived_trace_tables()
             if all(w is not None for w in zeta._derived_weights(loc, 1))]
     assert len(both) == 10 + 4 + 4 + 1  # CA rules, DK at q = 1, rotations, equal halves
@@ -145,6 +155,7 @@ def test_derived_halves_never_sweep(monkeypatch):
         raise AssertionError("swept a table whose halves both derive")
 
     monkeypatch.setattr(zeta, "_sweep_2d", refused)
+    monkeypatch.setattr(np.linalg, "eig", refused)
     for loc in both:
         for n in (1, 2, 7, 14):
             power_trace_coefficients(loc, n, 5)
@@ -152,24 +163,118 @@ def test_derived_halves_never_sweep(monkeypatch):
                 zeta_log_series(loc, n, 5)
 
 
-def test_split_sweep_matches_the_dense_halves(rng):
-    # one sweep per power of paired columns of Q_(n-1) beside basis columns
-    # of B_c(n) = Q_n[c::2, c::2] reads the traces of B_0(n-1), B_1(n-1) and
-    # B_c(n) from their dense powers, for either swept half c
-    tables = [dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng),
-              random_local_operator("pca", rng)]
+def block_route_tables():
+    """Tables whose columns sum to 1: DK on a (p, q) grid with q < 1, bond
+    DK and PCA draws, each with a half that `_power_traces` takes from its
+    certified blocks, and the 16 CA rules, 6 of them with such a half."""
+    pca = np.random.default_rng(17)
+    return [*(dk_local_operator(DKParams(p, q)) for p in (0.1, 0.5, 0.9, 1.0)
+              for q in (0.0, 0.3, 0.75, 0.95)),
+            dk_local_operator(DKParams.bond_percolation(0.6447)),
+            *(random_local_operator("pca", pca) for _ in range(4)), *ca_rules()]
+
+
+def test_block_route_matches_the_paired_sweep():
+    # C_r with a half from the certified blocks sit within 1e-13 of
+    # max(1, |C_r|) of the paired sweep
+    tables = block_route_tables()
+    assert sum(None in zeta._derived_kinds(t) for t in tables) == 16 + 1 + 4 + 6
     for loc in tables:
-        for n in range(2, 8):
-            halves = [b for q in (oracle_global(loc, n - 1), oracle_global(loc, n))
-                      for b in (q[0::2, 0::2], q[1::2, 1::2])]
-            for c in (0, 1):
-                got = zeta._split_sweeps(loc, n, 6, c)
-                powers = [np.eye(len(b)) for b in halves]
-                for r in range(6):
-                    powers = [b @ p for b, p in zip(halves, powers)]
-                    want = [np.trace(p) for p in (*powers[:2], powers[2 + c])]
-                    for g, w in zip(got[:, r], want):
-                        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (loc.label, n, c, r)
+        for n in range(1, 10):
+            for r_max in (1, 2, 3, 7, 30):
+                got = power_trace_coefficients(loc, n, r_max)
+                want = zeta._swept_coefficients(loc, n, r_max)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), \
+                    (loc.label, n, r_max)
+
+
+def test_block_route_complex_stochastic():
+    # complex-stochastic tables take the block route in complex arithmetic.
+    # Their C_r grow fast (to 2e29 at r = 12 here), and both routes lose
+    # digits with that growth: the routes read up to 3.4e-11 apart, relative
+    # to max(1, |C_r|), and a 40-digit check at n = 6 read the sweep 1.1e-12
+    # and the blocks 2.2e-14 from exact on one draw.  So the bound is 1e-9
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        loc = random_local_operator("complex-stochastic", rng)
+        assert zeta._derived_weights(loc, 1) == [None, None]
+        for n in range(1, 9):
+            got = power_trace_coefficients(loc, n, 12)
+            want = zeta._swept_coefficients(loc, n, 12)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), n
+
+
+def test_baby_giant_block_traces(rng):
+    # tr C^r by baby and giant steps against matrix_power, in a buffer that
+    # fits the stacks and in a larger one whose unused tail holds NaN
+    for r_max in (1, 2, 4, 5, 30, 100):
+        for dim in (1, 2, 5, 16):
+            block = rng.standard_normal((dim, dim)) / math.sqrt(dim)
+            want = np.array([np.trace(np.linalg.matrix_power(block, r))
+                             for r in range(1, r_max + 1)])
+            size = sum(zeta._baby_giant(r_max)) * dim * dim
+            for spare in (np.empty(size), np.full(size + 7, np.nan)):
+                got = zeta._block_traces(block, r_max, spare)
+                assert got.shape == (r_max,)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), \
+                    (r_max, dim)
+    cplx = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    want = [np.trace(np.linalg.matrix_power(cplx, r)) for r in range(1, 6)]
+    got = zeta._block_traces(cplx, 5, np.empty(5 * 16, dtype=complex))
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_certified_tables_never_sweep(rng, monkeypatch):
+    # a table whose certificates pass takes no sweep at all; one whose
+    # certificate fails at some level takes the paired sweep at level n
+    swept = []
+    sweep = zeta._sweep_2d
+
+    def recorded(blocks, n_sites, states, spare=None):
+        swept.append(n_sites)
+        return sweep(blocks, n_sites, states, spare)
+
+    monkeypatch.setattr(zeta, "_sweep_2d", recorded)
+    # the large stochastic table's certificates pass up to n = 3
+    certified = [(dk_local_operator(DKParams(0.5, 0.75)), 6),
+                 (random_local_operator("pca", rng), 6),
+                 (random_local_operator("complex-stochastic", rng), 6), (large_stochastic(), 3)]
+    for loc, top in certified:
+        for n in range(1, top + 1):
+            power_trace_coefficients(loc, n, 5)
+    assert swept == []
+    for loc, n in ((large_stochastic(), 4), (large_stochastic(), 6), (half_unit_sums(), 2),
+                   (half_unit_sums(), 6)):
+        swept.clear()
+        power_trace_coefficients(loc, n, 5)
+        assert swept and set(swept) == {n}, (loc.label, n)
+
+
+def test_block_route_falls_back_beyond_the_budget(monkeypatch):
+    # where the block route's bytes exceed the byte budget the traces come
+    # from the paired sweep, so nothing admitted is refused
+    loc = dk_local_operator(DKParams(0.5, 0.75))
+    assert zeta._block_route_bytes(loc, 14, 30) <= operators._BYTE_BUDGET
+    assert zeta._block_route_bytes(loc, 14, 10 ** 4) > operators._BYTE_BUDGET
+    want = power_trace_coefficients(loc, 6, 5)
+    monkeypatch.setattr(zeta, "_BYTE_BUDGET", zeta._block_route_bytes(loc, 6, 5) - 1)
+    monkeypatch.setattr(zeta, "_half_traces", None)  # would raise if called
+    got = power_trace_coefficients(loc, 6, 5)
+    assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_both_routes_match_exact_dk_traces():
+    # Fraction powers of the dense DK operator at rational (p, q): the block
+    # route and the paired sweep within 1e-14 of max(1, |tr Q^r|); the float
+    # tables round p and q, by under 1e-16 relative
+    for p, q in ((Fraction(1, 2), Fraction(3, 4)), (Fraction(3, 10), Fraction(3, 5)),
+                 (Fraction(2, 7), Fraction(5, 9)), (Fraction(1, 3), Fraction(1))):
+        loc = dk_local_operator(DKParams(float(p), float(q)))
+        for n in range(1, 5):
+            want = np.array([float(t) for t in exact_dk_traces(p, q, n, 8)])
+            for got in (power_trace_coefficients(loc, n, 8), zeta._swept_coefficients(loc, n, 8)):
+                err = np.abs(got * (1 << n) - want)
+                assert np.all(err <= 1e-14 * np.maximum(1.0, np.abs(want))), (p, q, n)
 
 
 def test_sweep_through_a_spare_buffer(rng):
@@ -354,14 +459,19 @@ def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
     # real nonnegative tables with equal column sums take rho-hat from the
     # table: no norm sweeps, the same coefficients, and 1/rho-hat within
     # the allowance 4 n eps of their exact radius 1
-    asked = []
-    sweeps = zeta._trace_sweeps
+    asked, blocks = [], []
+    sweeps, half_traces = zeta._trace_sweeps, zeta._half_traces
 
     def recorded(local, n_sites, r_max, with_norms):
         asked.append(with_norms)
         return sweeps(local, n_sites, r_max, with_norms)
 
+    def block_route(*args):
+        blocks.append(args)
+        return half_traces(*args)
+
     monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
+    monkeypatch.setattr(zeta, "_half_traces", block_route)
     for loc in nonnegative_equal_sum_tables(rng):
         for n in (2, 5, 8):
             series = zeta_log_series(loc, n, 12)
@@ -369,7 +479,9 @@ def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
             rho = np.abs(np.linalg.eigvals(build_global_recursive(loc, n).dense)).max()
             assert 1.0 / series.radius_hint >= rho - 1e-12, (loc.label, n)
             assert 1 <= 1.0 / series.radius_hint <= 1 + 4 * n * np.finfo(float).eps
-    assert asked and not any(asked)
+    # no sweep at all: every table here passes its certificates, and DK's
+    # non-derived half took the block route
+    assert blocks and not asked
     # unequal column sums and complex tables keep the norm sweeps
     asked.clear()
     scaled = dk_local_operator(DKParams(0.5, 0.75)).matrix.copy()
