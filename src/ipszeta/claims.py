@@ -28,7 +28,7 @@ from .operators import (
 from .spectral import (
     SpectrumMultiset,
     _check_eig_dim,
-    _derived_kinds,
+    _derived_halves,
     _spectrum_eigvals,
     _unit_sums,
     block_certificate,
@@ -88,7 +88,7 @@ def _t_family(local: LocalOperator) -> bool:
 
 
 def _derivable(local: LocalOperator) -> bool:
-    return any(_derived_kinds(local))
+    return any(_derived_halves(local))
 
 
 def _rotation_angle(local: LocalOperator) -> float:

@@ -24,6 +24,7 @@ same budget sizes the blocks, so that one step of every trial in a block fits.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, pairwise
@@ -227,10 +228,10 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
 
     The empty seed set never survives (its estimate is exactly 0); otherwise
     trials are run on the fixed leftward-growing window with early exit on
-    extinction.  Each block of trials is one job, run in min(workers, blocks)
-    processes when that is more than one, which are handed at most 4 jobs a
-    process at a time; all their buffers count against the byte budget, and
-    results do not depend on the worker count.
+    extinction.  Each block of trials is one job, run in min(workers, blocks,
+    os.cpu_count()) processes when that is more than one, which are handed
+    at most 4 jobs a process at a time; all their buffers count against the
+    byte budget, and results do not depend on the worker count.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
@@ -241,7 +242,7 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
                                 (0.0, 0.0), base_seed)
     span = a[-1] - a[0] + 1
     block, size = _block_layout(span + horizon)
-    processes = min(max(1, workers), -(-trials // block))
+    processes = min(max(1, workers), -(-trials // block), os.cpu_count() or 1)
     _charge(processes * (8 * size + block * (span + horizon + 1)),
             "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
     table = _birth_table(params.p, params.q)

@@ -52,7 +52,9 @@ def operator_from_json(text: str):
     sparsity.  Raises ValueError for a missing key or a malformed table."""
     doc = json.loads(text)
     try:
-        n_sites, flat = int(doc["n"]), doc["local"]["a_kl_ij"]
+        n_sites, flat = doc["n"], doc["local"]["a_kl_ij"]
+        if type(n_sites) is not int:  # not 2.7, true or "4"
+            raise TypeError("\"n\" is %r" % (n_sites,))
         m = np.array([complex(re, im) for re, im in flat], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("operator JSON needs an integer \"n\" and local.a_kl_ij as "

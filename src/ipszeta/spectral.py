@@ -349,36 +349,28 @@ def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> lis
     return out
 
 
-def _derived_kinds(local: LocalOperator) -> list:
-    """For each last-site half c, how `_derived_halves` derives b_c(m) from
-    level m-1: "equal" where the half tables M_0 and M_1 are exactly equal,
-    else "triangular" where M_c has an exact zero off its diagonal, else
-    None.  Exact tests, with no solve."""
-    halves = [local.matrix[c::2, c::2] for c in (0, 1)]
-    if np.array_equal(*halves):
-        return ["equal", "equal"]
-    return ["triangular" if m[0, 1] == 0 or m[1, 0] == 0 else None for m in halves]
-
-
 def _derived_halves(local: LocalOperator) -> list:
-    """For each last-site half c, the (scale, source half) pairs that give
-    b_c(m) = Spec B_c(m) from level m-1 with no eigensolve, or None.
+    """For each last-site half c, the (D, i) pairs that give b_c(m) =
+    Spec B_c(m) from level m-1 with no eigensolve beyond one of each D, or
+    None: b_c(m) is the union of Spec(D) b_i(m-1) over the pairs, and
+    tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r.  Each D is a sub-table of
+    `_sweep_table(local.matrix)`.
 
     Inside B_c, site m-2 moves by the half table M_c = a[c::2, c::2], so
-    B_c(m)[k::2, i::2] = (M_c)_ki B_i(m-1).  If M_c has an exact zero off
-    its diagonal, B_c(m) is block triangular over site m-2, so
-    b_c(m) = (M_c)_00 b_0(m-1) united with (M_c)_11 b_1(m-1).  If M_0 and
-    M_1 are exactly equal, B_0 = B_1 and B_c(m) = B_c(m-1) (x) M_c, so
-    b_c(m) = mu_0 b_c(m-1) united with mu_1 b_c(m-1), mu_0 and mu_1 from one
-    checked 2x2 solve of M_c.  Both hold with algebraic multiplicities and
-    are decided by exact tests, with no tolerance.
+    B_c(m)[k::2, i::2] = (M_c)_ki B_i(m-1).  If M_0 and M_1 are exactly
+    equal, B_0 = B_1 and B_c(m) = B_0(m-1) (x) M_0: both halves share the
+    one pair (M_0, 0), so its spectrum is solved once.  Else, where M_c has
+    an exact zero off its diagonal, B_c(m) is block triangular over site
+    m-2: the 1 x 1 pairs ((M_c)_00, 0) and ((M_c)_11, 1).  Both hold with
+    algebraic multiplicities and are decided by exact tests, with no
+    tolerance.
     """
-    kinds = _derived_kinds(local)
-    halves = [local.matrix[c::2, c::2] for c in (0, 1)]
-    if kinds[0] == "equal":
-        mu = _eigvals_checked(halves[0])
-        return [[(mu[0], c), (mu[1], c)] for c in (0, 1)]
-    return [[(m[0, 0], 0), (m[1, 1], 1)] if kind else None for m, kind in zip(halves, kinds)]
+    table = _sweep_table(local.matrix)
+    halves = [table[c::2, c::2] for c in (0, 1)]
+    if np.array_equal(*halves):
+        return [[(halves[0], 0)]] * 2
+    return [[(m[:1, :1], 0), (m[1:, 1:], 1)] if m[0, 1] == 0 or m[1, 0] == 0 else None
+            for m in halves]
 
 
 def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
@@ -386,25 +378,30 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     last-site halves; `spectrum` clusters them and `zeta_det` sums over them.
 
     One recursion over the half c and the level m: b_c(m) = Spec B_c(m)
-    starts at b_c(1) = {1}; a half that `_derived_halves` allows is derived
-    from level m-1, and any other comes from one run of `_half_eigvals`, at
-    every level when the other half is derived from it, else at level n
-    alone.  The byte budget of one dense operator of Q_n and the eigensolver
-    cap on 2^(n-2) are checked before anything is built.
+    starts at b_c(1) = {1}; a half that `_derived_halves` allows is the
+    union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) taken once
+    from `_eigvals_checked` (a 1 x 1 D with no solve), and any other comes
+    from one run of `_half_eigvals`, at every level when the other half is
+    derived from it, else at level n alone.  Returned as complex128.  The
+    byte budget of one dense operator of Q_n and the eigensolver cap on
+    2^(n-2) are checked before anything is built.
     """
     _check_budget(n_sites, 16 * 4 ** n_sites)
     _check_eig_dim(2 ** (n_sites - 2))
     derived = _derived_halves(local)
-    solved = [None if terms else
+    # equal half tables share their one D, solved once
+    spectra = {id(d): d for pairs in derived if pairs for d, _ in pairs}
+    spectra = {key: _eigvals_checked(d) for key, d in spectra.items()}
+    solved = [None if pairs else
               _half_eigvals(local, n_sites, c, 1 if derived[1 - c] else n_sites)
-              for c, terms in enumerate(derived)]
+              for c, pairs in enumerate(derived)]
     if not any(derived):
-        return np.concatenate([levels[-1] for levels in solved])
+        return np.concatenate([levels[-1] for levels in solved]).astype(complex)
     b = [np.ones(1), np.ones(1)]
     for m in range(2, n_sites + 1):
-        b = [np.concatenate([s * b[src] for s, src in terms]) if terms else solved[c][m - 1]
-             for c, terms in enumerate(derived)]
-    return np.concatenate(b)
+        b = [np.concatenate([np.multiply.outer(spectra[id(d)], b[i]).ravel() for d, i in pairs])
+             if pairs else solved[c][m - 1] for c, pairs in enumerate(derived)]
+    return np.concatenate(b).astype(complex)
 
 
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
@@ -412,8 +409,10 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
 
     Site n-1 never moves, so Q_n is the direct sum of its halves B_c(n) =
     Q_n[c::2, c::2].  A half whose table M_c has an exact zero off its
-    diagonal, or both when M_0 == M_1 exactly, is derived level by level
-    with no eigensolve (see `_derived_halves`).  In any other half the
+    diagonal, or both when M_0 == M_1 exactly, is derived level by level as
+    the union of Spec(D) b_i(m-1) over the (D, i) pairs of
+    `_derived_halves`, with no eigensolve beyond one 2 x 2 solve of equal
+    half tables.  In any other half the
     paper's spectral recursion holds on its own: Spec B_c(n) = {1} united
     with Spec B_c(m) (D_m)_c for m < n, D_m the two column-block shifts
     over the halves of Q_m, wherever every level passes that half's block
@@ -514,9 +513,10 @@ def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
 
     x_plus and x_minus are the roots of x^2 - (a00+a11) x - (a01*a10 - a00*a11)
     built from the four self-transition weights a_ij = a[(i,j)][(i,j)]; the
-    lambda factors weight the two root powers.  When the (0,1) self-weight
-    vanishes or the roots collide the closed form divides by ~0, and the
-    trace falls back to the transfer-table path sum.
+    lambda factors weight the two root powers.  The closed form divides by
+    a01 (x_plus - x_minus) and errs by about eps rho over the smaller of
+    the two, rho the larger root modulus; where either is at most 1e-4 rho,
+    the trace falls back to the transfer-table path sum.
     """
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
@@ -525,7 +525,7 @@ def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
     disc = np.sqrt(complex((a00 - a11) ** 2 + 4 * a01 * a10))
     xp = (a00 + a11 + disc) / 2
     xm = (a00 + a11 - disc) / 2
-    if abs(a01) <= 1e-12 or abs(xp - xm) <= 1e-12:
+    if min(abs(a01), abs(xp - xm)) <= 1e-4 * max(abs(xp), abs(xm)):
         return trace_path_sum(local, n_sites)
     lp = complex((a01 - a00 + xp) * (a00 + a01 - xm))
     lm = complex((a01 - a00 + xm) * (a00 + a01 - xp))

@@ -26,7 +26,7 @@ from .operators import (
     _sweep_blocks,
     _sweep_table,
 )
-from .spectral import _certified_blocks, _derived_kinds, _spectrum_eigvals
+from .spectral import _certified_blocks, _derived_halves, _spectrum_eigvals
 
 # Bytes of basis columns swept together by default, in the sweep's dtype: a
 # batch that stays near cache sweeps faster than one large pass.
@@ -162,29 +162,18 @@ def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.n
 def _derived_weights(local: LocalOperator, r_max: int) -> list:
     """For each last-site half c, a (2, r_max) array W with
     tr B_c(m)^r = W[0, r-1] t_0(m-1) + W[1, r-1] t_1(m-1), t_i(m) = tr B_i(m)^r,
-    wherever `spectral._derived_kinds` derives b_c(m) from level m-1; else
-    None.
-
-    Both forms come from the powers of the half table M_c, by `_powers`.
-    With an exact zero off its diagonal, b_c(m) = (M_c)_00 b_0(m-1) united
-    with (M_c)_11 b_1(m-1), so W holds the diagonal of M_c^r, whose entries
-    are exactly the products of M_c's, since the zero stays exact.  With
-    equal half tables, b_c(m) = mu_0 b_c(m-1) united with mu_1 b_c(m-1), so
-    W[c] = mu_0^r + mu_1^r = tr M_c^r: read from the powers, with no solve
-    for mu_0 and mu_1, and sharper than the sum of their powers.
+    wherever `spectral._derived_halves` derives b_c(m) from level m-1; else
+    None.  W[i] sums tr D^r over the pairs (D, i) there, read from the
+    powers of D by `_powers`, with no solve: a 1 x 1 D gives exactly the
+    products on the diagonal of a triangular half table's powers, and a
+    2 x 2 one tr M^r, sharper than a sum of powers of its eigenvalues.
     """
-    table = _sweep_table(local.matrix)
     out = []
-    for c, kind in enumerate(_derived_kinds(local)):
-        if kind is None:
-            out.append(None)
-            continue
-        powers = _powers(table[c::2, c::2], np.empty((r_max, 2, 2), dtype=table.dtype))
-        w = np.zeros((2, r_max), dtype=complex)
-        if kind == "equal":  # both terms from half c
-            w[c] = np.trace(powers, axis1=1, axis2=2)
-        else:
-            w[:] = np.diagonal(powers, axis1=1, axis2=2).T
+    for pairs in _derived_halves(local):
+        w = None if pairs is None else np.zeros((2, r_max), dtype=complex)
+        for d, i in pairs or ():
+            powers = _powers(d, np.empty((r_max, *d.shape), dtype=d.dtype))
+            w[i] += np.trace(powers, axis1=1, axis2=2)
         out.append(w)
     return out
 
@@ -226,9 +215,10 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves: a half
-    derived from its half table by an O(n r_max) recursion, any other from
-    the traces of its certified blocks, or from the paired sweep where a
-    certificate fails (see `_power_traces`).  No dense power of Q is ever
+    derived from the (D, i) pairs of `spectral._derived_halves` by the
+    O(n r_max) recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, any other
+    from the traces of its certified blocks, or from the paired sweep where
+    a certificate fails (see `_power_traces`).  No dense power of Q is ever
     stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)

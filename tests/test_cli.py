@@ -267,8 +267,13 @@ def test_param_error_exit_code(capsys):
     (["zeta", "--model", "custom", "--file", "{file}", "--rmax", "3"],
      '{"n": 3, "local": {"a_kl_ij": [[NaN, 0]' + ', [0, 0]' * 15 + ']}}'),
     (["zeta", "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3", "--u", "nan"], None),
+    # "n" must be a JSON integer
+    *((["op", "build", "--model", "custom", "--file", "{file}"],
+       '{"n": %s, "local": {"a_kl_ij": [[1, 0]' % n + ', [0, 0]' * 15 + ']}}')
+      for n in ("2.7", "true", '"4"')),
 ], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
-        "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan"])
+        "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan",
+        "file-n-float", "file-n-bool", "file-n-string"])
 def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     # inputs from outside the program are usage or parameter errors, never tracebacks
     path = tmp_path / "op.json"

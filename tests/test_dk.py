@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -288,7 +290,7 @@ class _RecordingPool:
     # a 61-site window holds 1074 trials a block: 800 trials start no pool
     (0, 5, []),
     # a 63-site window holds 1040 trials a block: 3000 trials are 3 jobs,
-    # mapped over min(workers, 3) processes
+    # mapped over min(workers, 3) processes on a host with 8 CPUs
     (1, 2, [2, 3]),
     (1, 8, [3, 3]),
 ])
@@ -297,6 +299,7 @@ def test_survival_blocks_are_the_jobs(case, workers, pool_and_jobs, monkeypatch)
     log = []
     monkeypatch.setattr(dk, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(log, max_workers))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
                             base_seed=base_seed, workers=workers)
     assert log == pool_and_jobs and est.survived == survived
@@ -305,9 +308,17 @@ def test_survival_blocks_are_the_jobs(case, workers, pool_and_jobs, monkeypatch)
 def test_survival_pool_maps_windows(monkeypatch):
     # a 401-site window holds 163 trials a block: 1500 trials are 10 jobs, which
     # 2 processes take as windows of 8 and 2; 89 survivors, as the in-process
-    # path counts them
+    # path counts them.  Processes are capped at the CPU count: 7000 workers
+    # on 3 CPUs take one window of 10, and on 1 CPU (or an unknown count)
+    # start no pool
     log = []
     monkeypatch.setattr(dk, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(log, max_workers))
-    est = estimate_survival(DKParams(0.6, 0.9), (0,), 400, 1500, base_seed=17, workers=2)
-    assert log == [2, 8, 2] and est.survived == 89
+    for cpus, workers, pool_and_jobs in ((8, 2, [2, 8, 2]), (3, 7000, [3, 10]),
+                                         (1, 7000, []), (None, 7000, [])):
+        log.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        est = estimate_survival(DKParams(0.6, 0.9), (0,), 400, 1500, base_seed=17,
+                                workers=workers)
+        assert log == pool_and_jobs and est.survived == 89, cpus
+        assert not log or log[0] <= os.cpu_count()

@@ -237,11 +237,15 @@ def test_trace_closed_form_degenerate_fallback(rng):
     entries[0, 2] = 0.6
     entries[3, 3] = 0.9
     entries[1, 3] = 0.1
-    loc = make_local_operator(entries)
-    # self-transition table is diagonal here, so the quadratic degenerates
-    for n in (2, 3, 5):
-        dense = np.trace(oracle_global(loc, n))
-        assert abs(trace_closed_form(loc, n) - dense) < 1e-12 * max(1.0, abs(dense))
+    # the first self-transition table is diagonal, so the quadratic
+    # degenerates; the second's roots sit 2e-9 apart, where the closed form
+    # read 2.8e-8 from the path sum before falling back there
+    for loc in (make_local_operator(entries),
+                make_local_operator(np.diag([0.5, 1.0, 1e-18, 0.5]))):
+        for n in (2, 3, 5):
+            dense = np.trace(oracle_global(loc, n))
+            assert abs(trace_closed_form(loc, n) - dense) < 1e-12 * max(1.0, abs(dense))
+        assert verify_claim("trace-formulas", [loc], 8).passed
 
 
 def test_histogram_totals_and_overflow():

@@ -178,7 +178,7 @@ def test_block_route_matches_the_paired_sweep():
     # C_r with a half from the certified blocks sit within 1e-13 of
     # max(1, |C_r|) of the paired sweep
     tables = block_route_tables()
-    assert sum(None in zeta._derived_kinds(t) for t in tables) == 16 + 1 + 4 + 6
+    assert sum(None in zeta._derived_halves(t) for t in tables) == 16 + 1 + 4 + 6
     for loc in tables:
         for n in range(1, 10):
             for r_max in (1, 2, 3, 7, 30):
