@@ -32,6 +32,11 @@ from .errors import (
 # operator is 16*4**n bytes).  Dense builds stop at n = 13, states at n = 26.
 _BYTE_BUDGET = 1 << 32
 
+# Bytes of a state that a sweep carries through all the passes it can make
+# on them while they sit in L2: a column slab of the head passes, or a chunk
+# of whole rows for the later passes (see `_sweep_2d`).
+_SLAB_BYTES = 1 << 18
+
 # Entry (row, col) of the 4x4 table is allowed iff the right bits agree,
 # i.e. row % 2 == col % 2 with the pair ordering (0,0),(0,1),(1,0),(1,1).
 _ALLOWED_MASK = np.array(
@@ -257,34 +262,106 @@ def _sweep_blocks(matrix4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, q3
 
 
+def _kron_eye(b: np.ndarray, r: int) -> np.ndarray:
+    """kron(b^T, I_r): the rows of an (s, k r) array times it are b applied
+    along the middle axis of its (s, k, r) view, for a k x k block b."""
+    k = len(b)
+    out = np.zeros((k, r, k, r), dtype=b.dtype)
+    for i in range(r):
+        out[:, i, :, i] = b.T
+    return out.reshape(k * r, k * r)
+
+
 def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int, states: np.ndarray,
               spare: np.ndarray | None = None) -> np.ndarray:
     """Apply the global operator to a C-contiguous (2**n, b) batch of column
-    states, given its `_sweep_blocks`.  Without `spare`, `states` is never
-    written, and for n >= 2 the result is a new array.  With `spare`, a
-    C-contiguous array of the same shape and dtype, the passes write into
-    `spare` and `states` in turn, so no state is allocated, and the result is
-    whichever of the two the last pass wrote.
+    states, given its `_sweep_blocks`; `states` is never written.  Without
+    `spare` the result is a new array for n >= 2.  With `spare`, a
+    C-contiguous array of the same shape and dtype, the result is written
+    into `spare` and returned, so no state is allocated.  At n = 1 the
+    result is `states`.
 
     The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
     as the same block Q_3, which multiplies the 8-row blocks of the batch
-    reshaped to (2**j, 8, rest).  When n-1 is odd the table itself takes the
-    last pair, so a sweep makes ceil((n-1)/2) passes.  A real table sweeps
-    complex states as their interleaved float64 view, which the real factors
-    act on entrywise.
+    reshaped to (2**j, 8, R).  When n-1 is odd the table itself takes the
+    last pair, so a sweep makes ceil((n-1)/2) passes, in the order of the
+    factors.  A real table sweeps complex states as their interleaved
+    float64 view, which the real factors act on entrywise.
+
+    The passes are blocked for the cache at a split J: the smallest even
+    number for which a row of the (2**J, rest) view fits `_SLAB_BYTES`, but
+    no larger than keeps the slabs below at least as wide as tall (J <= 6 at
+    256 KiB).
+    - The head passes, j < J, move only the top J+1 sites, so each column
+      of the (2**(J+1), rest) view evolves on its own: they run on slabs of
+      about `_SLAB_BYTES` of columns, each slab through all of them.
+    - The later passes act within each row of the (2**J, rest) view: they
+      run on chunks of about `_SLAB_BYTES` of whole rows, each chunk
+      through all of them.
+    - A pass with R <= 4 and j > 0 is one 2-D product by kron(Q_3^T, I_R)
+      (see `_kron_eye`) instead of its 2**j tiny ones; its exact zeros add
+      no rounding.
+    A block's passes write the result and one scratch buffer in turn, so
+    that the last lands in the result: the sweep reads and writes the state
+    twice and holds one buffer of a slab or a chunk beside it.
     """
     a, q3 = blocks
+    if n_sites < 2:
+        return states
     as_real = a.dtype.kind == "f" and states.dtype.kind == "c"
-    bufs = [x.view(np.float64) if as_real else x for x in (states, spare) if x is not None]
-    out = bufs[0]
-    for i, j in enumerate(range(0, n_sites - 1, 2)):
+    src = (states.view(np.float64) if as_real else states).reshape(-1)
+    if spare is None:
+        dst = np.empty(src.shape, np.result_type(a, src))
+    else:
+        dst = (spare.view(np.float64) if as_real else spare).reshape(-1)
+    size, item = src.size, dst.itemsize
+    passes = []  # (j, block, R)
+    for j in range(0, n_sites - 1, 2):
         b = q3 if j + 2 < n_sites else a
-        x = out.reshape(1 << j, len(b), -1)
-        out = np.matmul(b, x, out=None if spare is None else bufs[1 - i % 2].reshape(x.shape))
+        passes.append((j, b, size // (len(b) << j)))
+    split = 0
+    while (split < n_sites - 1 and (size >> split) * item > _SLAB_BYTES
+           and (8 << split) ** 2 * item <= _SLAB_BYTES):
+        split += 2
+    head = [p for p in passes if p[0] < split]
+    tail = [(b, r, _kron_eye(b, r) if r <= 4 and j else None) for j, b, r in passes[len(head):]]
+    rows = 1 << min(split + 1, n_sites)  # of a slab: the top split+1 sites
+    width = size // rows
+    slab = min(width, max(1, _SLAB_BYTES // (rows * item))) if head else 0  # columns
+    row = size >> split  # entries a row of the (2**split, rest) view
+    chunk = min(size, max(1, _SLAB_BYTES // (row * item)) * row)  # entries, whole rows
+    scratch = np.empty(max(rows * slab, chunk if tail else 0), dst.dtype)
+    if head:
+        cols_src, cols_dst = src.reshape(rows, width), dst.reshape(rows, width)
+        for start in range(0, width, slab):
+            x = cols_src[:, start:start + slab]
+            out = cols_dst[:, start:start + slab]
+            buf = scratch[:out.size].reshape(out.shape)
+            for i, (j, b, _) in enumerate(head):
+                y = (out, buf)[(len(head) - 1 - i) % 2]
+                # (2**j, k, rest, columns): one product per k x columns block
+                shape = (1 << j, len(b), rows // (len(b) << j), -1)
+                np.matmul(b, x.reshape(shape).transpose(0, 2, 1, 3),
+                          out=y.reshape(shape).transpose(0, 2, 1, 3))
+                x = y
+        src = dst
+    for start in range(0, size if tail else 0, chunk):
+        x, out = src[start:start + chunk], dst[start:start + chunk]
+        buf = scratch[:out.size]
+        for i, (b, r, kron) in enumerate(tail):
+            # alternate so that the last pass writes `out`, or, after the
+            # head passes, so that the first does not write what it reads
+            y = (out, buf)[(i + 1 if head else len(tail) - 1 - i) % 2]
+            if kron is None:
+                np.matmul(b, x.reshape(-1, len(b), r), out=y.reshape(-1, len(b), r))
+            else:
+                np.matmul(x.reshape(-1, len(kron)), kron, out=y.reshape(-1, len(kron)))
+            x = y
+        if x is not out:
+            out[...] = x
     if spare is not None:
-        # n // 2 passes: an odd count ends in `spare`
-        return (states, spare)[n_sites // 2 % 2]
-    out = out.reshape(states.shape[0], -1)
+        return spare
+    out = dst.reshape(states.shape[0], -1)
     return out.view(states.dtype) if as_real else out
 
 
@@ -293,8 +370,12 @@ def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
 
     Sweeps the pair factors in order, two at a time through Q_3, which
     reproduces the dense operator's action up to rounding.  The result is a
-    new complex128 array; the input is never written.  The peak is 3 complex
-    states: the complex copy of a real input and two sweep buffers.
+    new complex128 array; the input is never written.  The peak is 2 complex
+    states, the complex copy of a real input and the result, beside the
+    sweep's scratch buffer of a slab or a chunk (see `_sweep_2d`): at most
+    the larger of `_SLAB_BYTES` and a 64th of the state, and never more
+    than one state, so the 3 states charged bound it up to the few KiB of
+    Q_3 and the narrow passes' kron blocks.
     """
     _check_budget(n_sites, 3 * 16 * 2 ** n_sites)
     v = np.asarray(state)

@@ -26,10 +26,11 @@ from .operators import (
     _sweep_blocks,
     _sweep_table,
 )
-from .spectral import _certified_blocks, _derived_halves, _spectrum_eigvals
+from .spectral import EIG_DIM_CAP, _certified_blocks, _derived_halves, _spectrum_eigvals
 
-# Bytes of basis columns swept together by default, in the sweep's dtype: a
-# batch that stays near cache sweeps faster than one large pass.
+# Bytes of basis columns swept together, in the sweep's dtype.  The batches
+# only bound the memory the sweeps hold: `_sweep_2d` blocks each sweep for
+# the cache itself.
 _TRACE_BATCH_BYTES = 1 << 22
 
 
@@ -56,10 +57,11 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     (largest absolute column sum) is the largest even-row or odd-row sum
     over all batches, so no dense power is ever stored.  Each power is one
     sweep of ceil((n-1)/2) passes through Q_3 per batch, over 2^(n-1)
-    columns in all, between two buffers, so it allocates no state; the table
-    and Q_3 are built once for every power.  A table with zero imaginary
-    part keeps real columns, since their imaginary part stays zero.  A
-    batch holds `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few
+    columns in all, from one buffer into the other, so it allocates no
+    state beyond the sweep's scratch; the table and Q_3 are built once for
+    every power.  A table with zero imaginary part keeps real columns,
+    since their imaginary part stays zero.  A batch holds
+    `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few
     MiB, but their time grows with half the 4^n entries of each power, so
     they are admitted where the complex dense operator fits the byte
     budget.  The r_max-long traces and norms are charged on their own.
@@ -190,16 +192,20 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     in O(n r_max), with no sweep.  Where a half must be solved, its blocks
     C_m of dimension up to 2^(n-2) give it, about 2 sqrt(r_max) products a
     block, on tables whose columns sum to 1 (every other DK table, bond DK,
-    PCA, CA, complex-stochastic).  If a level of such a half fails its
-    certificate, or the block route's bytes (`_block_route_bytes`) exceed
-    the byte budget, the traces come from the paired sweep at level n
-    instead.  Checked as `_trace_sweeps`; the r_max-long arrays of the
-    derived halves (the half tables' powers, the weights and the traces of
-    each level) are charged at 256 bytes a power.
+    PCA, CA, complex-stochastic).  The traces come from the paired sweep at
+    level n instead where a level of such a half fails its certificate,
+    where the block route's bytes (`_block_route_bytes`) exceed the byte
+    budget, or where its largest block is wider than `EIG_DIM_CAP` (n >= 13):
+    there its dense products, which grow as 8^n, take longer than the sweep,
+    whose time grows as 4^n, and hold far more.  Checked as `_trace_sweeps`;
+    the r_max-long arrays of the derived halves (the half tables' powers,
+    the weights and the traces of each level) are charged at 256 bytes a
+    power.
     """
     _admit_traces(n_sites, r_max, 256)
     weights = _derived_weights(local, r_max)
-    fits = _block_route_bytes(local, n_sites, r_max) <= _BYTE_BUDGET
+    fits = (1 << max(n_sites - 2, 0) <= EIG_DIM_CAP
+            and _block_route_bytes(local, n_sites, r_max) <= _BYTE_BUDGET)
     solved = [None, None]
     for c, w in enumerate(weights):
         if w is None:
@@ -260,12 +266,15 @@ def _spectral_radius_bound(norms: np.ndarray, n_sites: int) -> float:
 
     Each computed norm is raised by its first-order rounding allowance.  The
     sweep of a paired column makes k*ceil((n-1)/2) passes; its even and odd
-    rows never mix, so the other parity adds only exact zero products.  A
-    pass through Q_3 sums at most 4 nonzero products per output, each with
-    one entry of Q_3, a single rounded product of two table entries: it
-    errs by at most sqrt(2)(gamma_2 + gamma_6) < 6 eps relative to |Q_3|
-    (unit roundoff eps/2), under the 16 eps allowed its two pair products,
-    and a last pass by the table alone by under 8 eps.  So 8 eps k(n-1) still bounds the
+    rows never mix, so the other parity adds only exact zero products.  An
+    exact zero product adds no rounding error to a sum, so neither do the
+    zeros that a narrow pass's kron(Q_3^T, I_R) multiplies in (see
+    `operators._sweep_2d`).  A pass through Q_3 sums at most 4 nonzero
+    products per output, each with one entry of Q_3, a single rounded
+    product of two table entries: it errs by at most
+    sqrt(2)(gamma_2 + gamma_6) < 6 eps relative to |Q_3| (unit roundoff
+    eps/2), under the 16 eps allowed its two pair products, and a last pass
+    by the table alone by under 8 eps.  So 8 eps k(n-1) still bounds the
     error relative to |Q|^k, and || |Q|^k ||_1 <= ||Q||_1^k; the computed
     ||Q||_1 itself is accurate, since every entry of Q is a single product
     of table entries.  A column sum runs over the even or the odd rows of a

@@ -11,8 +11,8 @@ import pytest
 from ipszeta import cli, dk
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator
-from ipszeta.operators import build_global_kronecker
-from ipszeta.serialize import operator_from_json
+from ipszeta.operators import build_global_kronecker, make_local_operator, random_local_operator
+from ipszeta.serialize import operator_from_json, operator_to_json
 
 
 def run(argv):
@@ -306,6 +306,27 @@ def test_overflowing_table_exits_2(argv, tmp_path, capsys):
     path, out = tmp_path / "big.json", tmp_path / "out.txt"
     table = [[1e200 if r % 2 == c % 2 else 0.0, 0.0] for r in range(4) for c in range(4)]
     path.write_text(json.dumps({"n": 4, "local": {"a_kl_ij": table}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _warning_to_stderr
+        code = run([*argv, "--model", "custom", "--file", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "trace-formulas", "--n", "8"], ["zeta", "--n", "8"], ["zeta", "--n", "3"],
+], ids=["verify-trace-formulas", "zeta", "zeta-narrow-passes"])
+def test_overflowing_swept_table_exits_2(argv, tmp_path, capsys):
+    # a GENERAL table scaled by 1e150 takes the paired sweep, whose products
+    # overflow; at n = 3 they are narrow passes, one 2-D product that also
+    # multiplies exact zeros, so an overflowed entry may turn invalid there.
+    # Either is a parameter error before any output
+    path, out = tmp_path / "big.json", tmp_path / "out.txt"
+    table = random_local_operator("general", np.random.default_rng(3)).matrix * 1e150
+    path.write_text(operator_to_json(make_local_operator(table), 8))
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _warning_to_stderr

@@ -242,29 +242,65 @@ def test_kronecker_build_matches_identity_sweep(rng):
             assert np.array_equal(got, want), (loc.label, n)
 
 
-def test_grouped_sweep_matches_per_pair_sweep(rng):
-    # two pairs a pass through Q_3 round differently from one pair a pass;
-    # odd and even pair counts, one to many columns, real and complex states
-    # under each table
+class _PassRecorder:
+    """Stands in for numpy inside `operators` and notes the rank of each
+    product a sweep writes: 4 for a head pass on a column slab, 3 for a pass
+    on a chunk of rows, 2 for a narrow pass taken as one 2-D product."""
+
+    def __init__(self):
+        self.ranks = set()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, out=None):
+        self.ranks.add(out.ndim)
+        return np.matmul(*args, out=out)
+
+
+def test_blocked_sweep_at_its_split_points(rng, monkeypatch):
+    # two pairs a pass through Q_3, blocked for the cache, against one pass
+    # a pair, which rounds differently: odd and even pair counts; head
+    # passes only (small n, wide batches), chunked passes only (states
+    # within a slab) and both, narrow passes included; real and complex
+    # states under each table, with and without a spare, which must then
+    # hold the result
+    recorder = _PassRecorder()
+    seen, ranks = set(), set()
+    sizes = ([(n, 1) for n in (*range(1, 17), 18)]
+             + [(n, w) for n in range(1, 13) for w in (3, 256)] + [(3, 8192), (5, 8192)])
     for loc in kernel_tables(rng):
-        for n in range(1, 13):
-            for cols in (1, 3, 256):
-                for cplx in (False, True):
-                    states = rng.standard_normal((1 << n, cols))
-                    if cplx:
-                        states = states + 1j * rng.standard_normal((1 << n, cols))
-                    keep = states.copy()
-                    want = per_pair_sweep(loc.matrix, n, states)
-                    got = operators._sweep_2d(operators._sweep_blocks(loc.matrix), n, states)
+        blocks = operators._sweep_blocks(loc.matrix)
+        for n, cols in sizes:
+            for cplx in (False, True):
+                states = rng.standard_normal((1 << n, cols))
+                if cplx:
+                    states = states + 1j * rng.standard_normal((1 << n, cols))
+                keep = states.copy()
+                want = per_pair_sweep(loc.matrix, n, states)
+                spares = [None] + ([np.empty_like(states)] if want.dtype == states.dtype else [])
+                for spare in spares:
+                    recorder.ranks.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(operators, "np", recorder)
+                        got = operators._sweep_2d(blocks, n, states, spare)
+                    assert spare is None or got is spare or n == 1
                     assert got.dtype == want.dtype and got.shape == want.shape
                     err = np.abs(got - want).max()
                     assert err <= 1e-13 * np.abs(want).max(), (loc.label, n, cols, cplx)
                     assert np.array_equal(states, keep)
+                    head, rest = 4 in recorder.ranks, bool(recorder.ranks - {4})
+                    if recorder.ranks:
+                        seen.add(("chunks", "head")[head] if head != rest else "both")
+                    ranks |= recorder.ranks
+    assert seen == {"head", "chunks", "both"} and ranks == {2, 3, 4}
 
 
-def test_matrix_free_peak_within_three_states(rng):
-    # the complex copy of a real input and two sweep buffers, as the budget
-    # charges; the allowance covers Q_3 and matmul's small scratch
+def test_matrix_free_peak_within_two_states_and_a_slab(rng):
+    # the complex copy of a real input and the result, and one scratch
+    # buffer of a slab or a chunk; the allowance covers Q_3, the narrow
+    # passes' kron blocks and matmul's small scratch.  The scratch is never
+    # more than a state, so the budget's charge of 3 states covers it
     n = 16
     for loc in kernel_tables(rng):
         for v in (rng.standard_normal(1 << n),
@@ -275,7 +311,9 @@ def test_matrix_free_peak_within_three_states(rng):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * 16 * 2 ** n + (512 << 10), (loc.label, v.dtype, peak)
+            states = 2 if v.dtype.kind == "f" else 1
+            assert peak <= states * 16 * 2 ** n + operators._SLAB_BYTES + (64 << 10), \
+                (loc.label, v.dtype, peak)
 
 
 def old_block_grid(local, n_sites):

@@ -20,7 +20,7 @@ from ipszeta.operators import (
     qca_rotation_local,
     random_local_operator,
 )
-from ipszeta.spectral import trace_path_sum
+from ipszeta.spectral import EIG_DIM_CAP, trace_closed_form, trace_path_sum
 from ipszeta.zeta import (
     c_r,
     power_trace_coefficients,
@@ -263,6 +263,27 @@ def test_block_route_falls_back_beyond_the_budget(monkeypatch):
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
+def test_blocks_beyond_the_eigensolver_cap_take_the_paired_sweep(monkeypatch):
+    # from n = 13 the largest certified block, of dimension 2^(n-2), is
+    # wider than the eigensolver cap; its dense products would take longer
+    # and hold far more than the paired sweep, so the traces take the sweep
+    loc = dk_local_operator(DKParams(0.5, 0.75))
+    assert 1 << (12 - 2) == EIG_DIM_CAP
+    half_traces, calls = zeta._half_traces, []
+
+    def recorded(*args):
+        calls.append(args[1])
+        return half_traces(*args)
+
+    monkeypatch.setattr(zeta, "_half_traces", recorded)
+    power_trace_coefficients(loc, 12, 1)
+    assert calls == [12]
+    monkeypatch.setattr(zeta, "_half_traces", None)  # would raise if called
+    got = power_trace_coefficients(loc, 13, 1)[0] * (1 << 13)
+    want = trace_closed_form(loc, 13)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_both_routes_match_exact_dk_traces():
     # Fraction powers of the dense DK operator at rational (p, q): the block
     # route and the paired sweep within 1e-14 of max(1, |tr Q^r|); the float
@@ -278,15 +299,19 @@ def test_both_routes_match_exact_dk_traces():
 
 
 def test_sweep_through_a_spare_buffer(rng):
-    # with a spare buffer the sweep writes the state and the spare in turn
-    # and returns whichever holds Q_n times the state
+    # with a spare buffer the sweep writes Q_n times the state into the
+    # spare and returns it, leaving the state as it was; at n = 1 it
+    # returns the state
     for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
         blocks = _sweep_blocks(loc.matrix)
         for n in range(1, 8):
             states = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
+            keep = states.copy()
             want = oracle_global(loc, n) @ states
             spare = np.empty_like(states)
-            got = _sweep_2d(blocks, n, states.copy(), spare)
+            got = _sweep_2d(blocks, n, states, spare)
+            assert got is (states if n == 1 else spare)
+            assert np.array_equal(states, keep)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (loc.label, n)
 
 
