@@ -246,9 +246,12 @@ def verify_claim(name: str, tables, n_sites: int, tol: float | None = None,
     `cases`, one row per table with its residual and whether it lies in the
     domain.  If any table lies outside, `passed` is None and
     `details["reason"]` says so; otherwise `passed` is worst_residual <= tol.
+    A `tol` that is not a finite number >= 0 is refused.
     """
     claim = CLAIMS[name]
     tol = claim.tol if tol is None else tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParamOutOfRange("tol=%r must be a finite number >= 0" % (tol,))
     cases, measures = [], {}
     for local in tables:
         inside = claim.in_domain(local)

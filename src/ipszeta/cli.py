@@ -175,6 +175,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_dk_survive(args, parser) -> int:
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     params = DKParams(args.p, args.q)
     seed_set = tuple(int(x) for x in args.a.split(","))
     est = estimate_survival(params, seed_set, args.horizon, args.trials,
@@ -186,6 +188,8 @@ def cmd_dk_survive(args, parser) -> int:
 
 
 def cmd_dk_scan(args, parser) -> int:
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     if args.p_grid:
         grid = [float(x) for x in args.p_grid.split(",")]
     else:

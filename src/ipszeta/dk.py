@@ -231,10 +231,13 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     extinction.  Each block of trials is one job, run in min(workers, blocks,
     os.cpu_count()) processes when that is more than one, which are handed
     at most 4 jobs a process at a time; all their buffers count against the
-    byte budget, and results do not depend on the worker count.
+    byte budget, and results do not depend on the worker count.  A
+    `base_seed` outside [0, 2^64) keys no stream and is refused.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
+    if not 0 <= base_seed < 1 << 64:
+        raise ParamOutOfRange("base_seed=%r outside [0, 2**64)" % (base_seed,))
     a = tuple(sorted(set(int(x) for x in seed_set)))
     if not a:
         # no sampling happens: the empty set is absorbing by definition

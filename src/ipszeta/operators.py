@@ -273,13 +273,13 @@ def _kron_eye(b: np.ndarray, r: int) -> np.ndarray:
 
 
 def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int, states: np.ndarray,
-              spare: np.ndarray | None = None) -> np.ndarray:
-    """Apply the global operator to a C-contiguous (2**n, b) batch of column
-    states, given its `_sweep_blocks`; `states` is never written.  Without
-    `spare` the result is a new array for n >= 2.  With `spare`, a
-    C-contiguous array of the same shape and dtype, the result is written
-    into `spare` and returned, so no state is allocated.  At n = 1 the
-    result is `states`.
+              out: np.ndarray) -> np.ndarray:
+    """Write the global operator times a C-contiguous (2**n, b) batch of
+    column states into `out` and return `out`, given its `_sweep_blocks`.
+    `out` is C-contiguous, of the shape of `states` and of the sweep's
+    result dtype (complex when the table or the states are); `states` is
+    never written.  At n = 1, where the operator is the identity, `out`
+    receives a copy of `states`.
 
     The factors go two pairs at a time: pairs j and j+1 act on sites j..j+2
     as the same block Q_3, which multiplies the 8-row blocks of the batch
@@ -306,14 +306,8 @@ def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int, states: np.nd
     twice and holds one buffer of a slab or a chunk beside it.
     """
     a, q3 = blocks
-    if n_sites < 2:
-        return states
     as_real = a.dtype.kind == "f" and states.dtype.kind == "c"
-    src = (states.view(np.float64) if as_real else states).reshape(-1)
-    if spare is None:
-        dst = np.empty(src.shape, np.result_type(a, src))
-    else:
-        dst = (spare.view(np.float64) if as_real else spare).reshape(-1)
+    src, dst = ((x.view(np.float64) if as_real else x).reshape(-1) for x in (states, out))
     size, item = src.size, dst.itemsize
     passes = []  # (j, block, R)
     for j in range(0, n_sites - 1, 2):
@@ -335,56 +329,52 @@ def _sweep_2d(blocks: tuple[np.ndarray, np.ndarray], n_sites: int, states: np.nd
         cols_src, cols_dst = src.reshape(rows, width), dst.reshape(rows, width)
         for start in range(0, width, slab):
             x = cols_src[:, start:start + slab]
-            out = cols_dst[:, start:start + slab]
-            buf = scratch[:out.size].reshape(out.shape)
+            res = cols_dst[:, start:start + slab]
+            buf = scratch[:res.size].reshape(res.shape)
             for i, (j, b, _) in enumerate(head):
-                y = (out, buf)[(len(head) - 1 - i) % 2]
+                y = (res, buf)[(len(head) - 1 - i) % 2]
                 # (2**j, k, rest, columns): one product per k x columns block
                 shape = (1 << j, len(b), rows // (len(b) << j), -1)
                 np.matmul(b, x.reshape(shape).transpose(0, 2, 1, 3),
                           out=y.reshape(shape).transpose(0, 2, 1, 3))
                 x = y
         src = dst
-    for start in range(0, size if tail else 0, chunk):
-        x, out = src[start:start + chunk], dst[start:start + chunk]
-        buf = scratch[:out.size]
+    # after head passes alone `dst` is the result; n = 1 copies in one chunk
+    for start in range(0, 0 if head and not tail else size, chunk):
+        x, res = src[start:start + chunk], dst[start:start + chunk]
+        buf = scratch[:res.size]
         for i, (b, r, kron) in enumerate(tail):
-            # alternate so that the last pass writes `out`, or, after the
+            # alternate so that the last pass writes `res`, or, after the
             # head passes, so that the first does not write what it reads
-            y = (out, buf)[(i + 1 if head else len(tail) - 1 - i) % 2]
+            y = (res, buf)[(i + 1 if head else len(tail) - 1 - i) % 2]
             if kron is None:
                 np.matmul(b, x.reshape(-1, len(b), r), out=y.reshape(-1, len(b), r))
             else:
                 np.matmul(x.reshape(-1, len(kron)), kron, out=y.reshape(-1, len(kron)))
             x = y
-        if x is not out:
-            out[...] = x
-    if spare is not None:
-        return spare
-    out = dst.reshape(states.shape[0], -1)
-    return out.view(states.dtype) if as_real else out
+        if x is not res:
+            res[...] = x
+    return out
 
 
 def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
     """Apply the global operator to a state vector without building a matrix.
 
     Sweeps the pair factors in order, two at a time through Q_3, which
-    reproduces the dense operator's action up to rounding.  The result is a
-    new complex128 array; the input is never written.  The peak is 2 complex
-    states, the complex copy of a real input and the result, beside the
-    sweep's scratch buffer of a slab or a chunk (see `_sweep_2d`): at most
-    the larger of `_SLAB_BYTES` and a 64th of the state, and never more
-    than one state, so the 3 states charged bound it up to the few KiB of
-    Q_3 and the narrow passes' kron blocks.
+    reproduces the dense operator's action up to rounding, into a new
+    complex128 array (a copy of the state at n = 1); the input is never
+    written.  The peak is 2 complex states, the complex copy of a real
+    input and the result, beside the sweep's scratch buffer of a slab or a
+    chunk (see `_sweep_2d`): at most the larger of `_SLAB_BYTES` and a 64th
+    of the state, and never more than one state, so the 3 states charged
+    bound it up to the few KiB of Q_3 and the narrow passes' kron blocks.
     """
     _check_budget(n_sites, 3 * 16 * 2 ** n_sites)
     v = np.asarray(state)
     if v.shape != (1 << n_sites,):
         raise LengthMismatch("state has shape %r, expected (%d,)" % (v.shape, 1 << n_sites))
-    v = np.ascontiguousarray(v, dtype=complex)
-    if n_sites == 1:
-        return v.copy()
-    return _sweep_2d(_sweep_blocks(local.matrix), n_sites, v.reshape(-1, 1)).ravel()
+    v = np.ascontiguousarray(v, dtype=complex).reshape(-1, 1)
+    return _sweep_2d(_sweep_blocks(local.matrix), n_sites, v, np.empty_like(v)).ravel()
 
 
 # --- sampling and random families -------------------------------------------

@@ -83,8 +83,7 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
         states.reshape(-1)[diag] = 1.0
         spare = np.empty_like(states)
         for r in range(r_max):
-            if _sweep_2d(blocks, n_sites, states, spare) is spare:
-                states, spare = spare, states
+            states, spare = _sweep_2d(blocks, n_sites, states, spare), states
             traces[r] += states.take(diag).sum()
             if with_norms:
                 norms[r] = max(norms[r], np.abs(states.reshape(half, 2, -1)).sum(axis=0).max())

@@ -271,9 +271,22 @@ def test_param_error_exit_code(capsys):
     *((["op", "build", "--model", "custom", "--file", "{file}"],
        '{"n": %s, "local": {"a_kl_ij": [[1, 0]' % n + ', [0, 0]' * 15 + ']}}')
       for n in ("2.7", "true", '"4"')),
+    # Monte Carlo seeds that key no Philox stream
+    *((["dk", "survive", "--p", "0.5", "--q", "0.5", "--trials", "3", "--horizon", "3",
+        "--threads", "1", "--seed", seed], None) for seed in ("-1", str(1 << 64))),
+    # tolerances no residual can be compared with
+    *((["verify", "build-recursion", "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3",
+        "--tol", tol], None) for tol in ("nan", "-1")),
+    # worker counts below one
+    *((["dk", "survive", "--p", "0.5", "--q", "0.5", "--trials", "3", "--horizon", "3",
+        "--threads", threads], None) for threads in ("0", "-4")),
+    *((["dk", "scan", "--q", "1", "--p-grid", "0.5,0.9", "--trials", "3", "--horizon", "3",
+        "--threads", threads], None) for threads in ("0", "-4")),
 ], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
         "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan",
-        "file-n-float", "file-n-bool", "file-n-string"])
+        "file-n-float", "file-n-bool", "file-n-string", "seed-negative", "seed-2-64",
+        "tol-nan", "tol-negative", "survive-threads-0", "survive-threads-negative",
+        "scan-threads-0", "scan-threads-negative"])
 def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     # inputs from outside the program are usage or parameter errors, never tracebacks
     path = tmp_path / "op.json"

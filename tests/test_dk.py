@@ -161,6 +161,15 @@ def test_survival_empty_seed_set():
     assert est.ci == (0.0, 0.0)
 
 
+def test_survival_refuses_seeds_that_key_no_stream():
+    # a Philox key word is an unsigned 64-bit integer
+    for base_seed in (-1, 1 << 64):
+        with pytest.raises(ParamOutOfRange):
+            estimate_survival(DKParams(0.5, 0.5), (0,), horizon=3, trials=3, base_seed=base_seed)
+    top = estimate_survival(DKParams(0.5, 0.5), (0,), horizon=3, trials=3, base_seed=(1 << 64) - 1)
+    assert top.trials == 3
+
+
 def test_survival_deterministic_across_workers():
     params = DKParams(0.7, 0.9)
     a = estimate_survival(params, (0,), 60, 800, base_seed=3, workers=1)

@@ -263,8 +263,8 @@ def test_blocked_sweep_at_its_split_points(rng, monkeypatch):
     # a pair, which rounds differently: odd and even pair counts; head
     # passes only (small n, wide batches), chunked passes only (states
     # within a slab) and both, narrow passes included; real and complex
-    # states under each table, with and without a spare, which must then
-    # hold the result
+    # states under each table, each written into a buffer of the result
+    # dtype, which the sweep returns
     recorder = _PassRecorder()
     seen, ranks = set(), set()
     sizes = ([(n, 1) for n in (*range(1, 17), 18)]
@@ -278,21 +278,20 @@ def test_blocked_sweep_at_its_split_points(rng, monkeypatch):
                     states = states + 1j * rng.standard_normal((1 << n, cols))
                 keep = states.copy()
                 want = per_pair_sweep(loc.matrix, n, states)
-                spares = [None] + ([np.empty_like(states)] if want.dtype == states.dtype else [])
-                for spare in spares:
-                    recorder.ranks.clear()
-                    with monkeypatch.context() as m:
-                        m.setattr(operators, "np", recorder)
-                        got = operators._sweep_2d(blocks, n, states, spare)
-                    assert spare is None or got is spare or n == 1
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    err = np.abs(got - want).max()
-                    assert err <= 1e-13 * np.abs(want).max(), (loc.label, n, cols, cplx)
-                    assert np.array_equal(states, keep)
-                    head, rest = 4 in recorder.ranks, bool(recorder.ranks - {4})
-                    if recorder.ranks:
-                        seen.add(("chunks", "head")[head] if head != rest else "both")
-                    ranks |= recorder.ranks
+                out = np.empty(states.shape, want.dtype)
+                recorder.ranks.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(operators, "np", recorder)
+                    got = operators._sweep_2d(blocks, n, states, out)
+                assert got is out
+                assert got.dtype == want.dtype and got.shape == want.shape
+                err = np.abs(got - want).max()
+                assert err <= 1e-13 * np.abs(want).max(), (loc.label, n, cols, cplx)
+                assert np.array_equal(states, keep)
+                head, rest = 4 in recorder.ranks, bool(recorder.ranks - {4})
+                if recorder.ranks:
+                    seen.add(("chunks", "head")[head] if head != rest else "both")
+                ranks |= recorder.ranks
     assert seen == {"head", "chunks", "both"} and ranks == {2, 3, 4}
 
 

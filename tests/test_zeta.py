@@ -88,9 +88,9 @@ def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
     calls = []
     sweep = zeta._sweep_2d
 
-    def recorded(blocks, n_sites, states, spare=None):
+    def recorded(blocks, n_sites, states, out):
         calls.append(states.size)
-        return sweep(blocks, n_sites, states, spare)
+        return sweep(blocks, n_sites, states, out)
 
     monkeypatch.setattr(zeta, "_sweep_2d", recorded)
     r_max = 3
@@ -230,9 +230,9 @@ def test_certified_tables_never_sweep(rng, monkeypatch):
     swept = []
     sweep = zeta._sweep_2d
 
-    def recorded(blocks, n_sites, states, spare=None):
+    def recorded(blocks, n_sites, states, out):
         swept.append(n_sites)
-        return sweep(blocks, n_sites, states, spare)
+        return sweep(blocks, n_sites, states, out)
 
     monkeypatch.setattr(zeta, "_sweep_2d", recorded)
     # the large stochastic table's certificates pass up to n = 3
@@ -299,19 +299,21 @@ def test_both_routes_match_exact_dk_traces():
 
 
 def test_sweep_through_a_spare_buffer(rng):
-    # with a spare buffer the sweep writes Q_n times the state into the
-    # spare and returns it, leaving the state as it was; at n = 1 it
-    # returns the state
+    # the sweep writes Q_n times the state into the buffer it is given and
+    # returns that buffer, leaving the state as it was; at n = 1, where Q is
+    # the identity, the buffer holds a copy of the state
     for loc in (dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("general", rng)):
         blocks = _sweep_blocks(loc.matrix)
         for n in range(1, 8):
             states = rng.standard_normal((1 << n, 3)) + 1j * rng.standard_normal((1 << n, 3))
             keep = states.copy()
             want = oracle_global(loc, n) @ states
-            spare = np.empty_like(states)
-            got = _sweep_2d(blocks, n, states, spare)
-            assert got is (states if n == 1 else spare)
+            out = np.empty_like(states)
+            got = _sweep_2d(blocks, n, states, out)
+            assert got is out
             assert np.array_equal(states, keep)
+            if n == 1:
+                assert np.array_equal(out, keep)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (loc.label, n)
 
 
