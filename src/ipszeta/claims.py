@@ -246,12 +246,15 @@ def verify_claim(name: str, tables, n_sites: int, tol: float | None = None,
     `cases`, one row per table with its residual and whether it lies in the
     domain.  If any table lies outside, `passed` is None and
     `details["reason"]` says so; otherwise `passed` is worst_residual <= tol.
-    A `tol` that is not a finite number >= 0 is refused.
+    A `tol` that is not a finite number >= 0, an `r_max` below 1 and an
+    empty table list are refused before any check runs, for every claim.
     """
     claim = CLAIMS[name]
     tol = claim.tol if tol is None else tol
     if not (math.isfinite(tol) and tol >= 0):
         raise ParamOutOfRange("tol=%r must be a finite number >= 0" % (tol,))
+    if r_max < 1:
+        raise ParamOutOfRange("r_max=%r must be at least 1" % (r_max,))
     cases, measures = [], {}
     for local in tables:
         inside = claim.in_domain(local)

@@ -152,13 +152,9 @@ def cmd_zeta(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    if args.rmax < 1:
-        parser.error("--rmax must be at least 1")
     if args.random:
         if args.n is None:
             parser.error("--n is required")
-        if args.trials < 1:
-            parser.error("--trials must be at least 1")
         rng = np.random.default_rng(args.seed)
         tables = [random_local_operator(args.random, rng) for _ in range(args.trials)]
         n, label = args.n, "random-%s" % args.random
@@ -175,8 +171,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_dk_survive(args, parser) -> int:
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     params = DKParams(args.p, args.q)
     seed_set = tuple(int(x) for x in args.a.split(","))
     est = estimate_survival(params, seed_set, args.horizon, args.trials,
@@ -188,15 +182,13 @@ def cmd_dk_survive(args, parser) -> int:
 
 
 def cmd_dk_scan(args, parser) -> int:
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if args.p_grid:
         grid = [float(x) for x in args.p_grid.split(",")]
     else:
         if args.p_from is None or args.p_to is None:
             parser.error("give either --p-grid or --p-from/--p-to/--p-step")
-        if not args.p_step > 0:
-            parser.error("--p-step must be positive")
+        if not (np.isfinite([args.p_from, args.p_to]).all() and 0 < args.p_step < np.inf):
+            parser.error("--p-from and --p-to must be finite, --p-step positive and finite")
         stop = args.p_to + args.p_step / 2
         points = np.ceil((stop - args.p_from) / args.p_step)
         # a whole scan, traced: grid, estimates and CSV text, <= 760 B a point

@@ -40,8 +40,6 @@ _Z95 = 1.959963984540054
 # Bytes of uniforms a block of Monte Carlo trials holds at once; it also sets
 # the number of trials in a block.
 _DRAW_BYTES = 1 << 19
-# Seeds each trial's bit generator before `_trial_stream` sets its key.
-_STREAM_SEED = np.random.SeedSequence(0)
 
 
 @dataclass(frozen=True)
@@ -155,17 +153,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _trial_stream(base_seed: int, trial: int):
-    """The Generator of `Philox(key=(base_seed, trial))`: counter 0 and an
-    empty buffer.  The bit generator is seeded from one fixed seed sequence
-    and then given that state, since `Philox(key=...)` would first draw OS
-    entropy for a seed sequence that the key overrides."""
-    bits = np.random.Philox(_STREAM_SEED)
-    bits.state = {"bit_generator": "Philox",
-                  "state": {"counter": np.zeros(4, dtype=np.uint64),
-                            "key": np.array([base_seed, trial], dtype=np.uint64)},
-                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                  "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bits)
+    """The Generator of `Philox(key=(base_seed, trial))`.  The key is handed
+    in as one uint64 array: a tuple mixing words below and above 2^63 would
+    pass through float64 and lose bits."""
+    return np.random.Generator(np.random.Philox(key=np.array([base_seed, trial], np.uint64)))
 
 
 def _block_layout(window: int) -> tuple[int, int]:
@@ -232,12 +223,15 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     os.cpu_count()) processes when that is more than one, which are handed
     at most 4 jobs a process at a time; all their buffers count against the
     byte budget, and results do not depend on the worker count.  A
-    `base_seed` outside [0, 2^64) keys no stream and is refused.
+    `base_seed` outside [0, 2^64), which keys no stream, and `workers`
+    below 1 are refused before any trial runs, even for the empty seed set.
     """
     if horizon < 1 or trials < 1:
         raise ParamOutOfRange("need horizon >= 1 and trials >= 1")
     if not 0 <= base_seed < 1 << 64:
         raise ParamOutOfRange("base_seed=%r outside [0, 2**64)" % (base_seed,))
+    if workers < 1:
+        raise ParamOutOfRange("workers=%r must be at least 1" % (workers,))
     a = tuple(sorted(set(int(x) for x in seed_set)))
     if not a:
         # no sampling happens: the empty set is absorbing by definition
@@ -245,7 +239,7 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
                                 (0.0, 0.0), base_seed)
     span = a[-1] - a[0] + 1
     block, size = _block_layout(span + horizon)
-    processes = min(max(1, workers), -(-trials // block), os.cpu_count() or 1)
+    processes = min(workers, -(-trials // block), os.cpu_count() or 1)
     _charge(processes * (8 * size + block * (span + horizon + 1)),
             "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
     table = _birth_table(params.p, params.q)
@@ -292,25 +286,24 @@ def scan_critical(q: float, p_grid, horizon: int, trials: int, threshold: float 
 
     Points with estimate below the threshold are labeled extinction, others
     survival; the bracket is the first adjacent pair straddling the threshold.
-    Raises NoBracket if the labels never change across the grid.
+    Every point's (p, q) is checked before the first trial runs, and
+    `estimate_survival` refuses `workers` below 1 before it.  Raises
+    NoBracket if the labels never change across the grid.
     """
     grid = [float(p) for p in p_grid]
     if len(grid) < 2 or any(b <= a for a, b in pairwise(grid)):
         raise ParamOutOfRange("p_grid must be increasing with at least two points")
     if not 0.0 < threshold < 1.0:
         raise ParamOutOfRange("threshold must be in (0, 1)")
-    points = []
-    for i, p in enumerate(grid):
-        params = DKParams(p, q)
-        points.append(estimate_survival(params, (0,), horizon, trials,
-                                        base_seed=_point_seed(base_seed, i), workers=workers))
+    for p in grid:  # refuse a point outside [0, 1] before any trial runs
+        DKParams(p, q)
+    points = [estimate_survival(DKParams(p, q), (0,), horizon, trials,
+                                base_seed=_point_seed(base_seed, i), workers=workers)
+              for i, p in enumerate(grid)]
     labels = tuple(LABEL_EXTINCTION if pt.estimate < threshold else LABEL_SURVIVAL
                    for pt in points)
-    bracket = None
-    for i in range(len(grid) - 1):
-        if labels[i] != labels[i + 1]:
-            bracket = (grid[i], grid[i + 1])
-            break
+    bracket = next((pair for pair, (a, b) in zip(pairwise(grid), pairwise(labels)) if a != b),
+                   None)
     if bracket is None:
         raise NoBracket("survival estimates never cross %g on the grid" % threshold)
     return CriticalScanResult(q, threshold, tuple(points), labels, bracket)

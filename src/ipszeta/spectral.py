@@ -472,15 +472,15 @@ class HistogramGrid:
 
 def _histogram_bins(bin_size: float) -> int:
     """Bins per axis of the histogram grid at bin_size; refuses a grid whose
-    8 * n_bins^2 bytes exceed the byte budget, before anything allocates."""
+    8 * n_bins^2 bytes exceed the byte budget, before anything allocates.
+    The bytes are a float product, exact below 2^53 and inf past overflow, so
+    even a subnormal bin_size (inf bins) is refused in a short message."""
     if not 0 < bin_size < np.inf:
         raise ParamOutOfRange("bin_size must be positive and finite")
-    bins = (HistogramGrid.high - HistogramGrid.low) / bin_size
-    if bins == np.inf:  # a subnormal bin_size: no integer counts the bins
-        _charge(bins, "bin size %r (an unbounded histogram grid)" % (bin_size,))
-    n_bins = int(np.ceil(bins - 1e-9))
-    _charge(8 * n_bins ** 2, "bin size %r (a %d x %d histogram grid)" % (bin_size, n_bins, n_bins))
-    return n_bins
+    n_bins = float(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9))
+    _charge(8 * n_bins * n_bins,
+            "bin size %r (a %g x %g histogram grid)" % (bin_size, n_bins, n_bins))
+    return int(n_bins)
 
 
 def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:

@@ -337,6 +337,13 @@ def zeta_log_series(local: LocalOperator, n_sites: int, r_max: int) -> ZetaSerie
     return ZetaSeries(traces / (1 << n_sites), 1.0 / rho)
 
 
+def _finite_u(u) -> complex:
+    """u as a complex number, refused with ParamOutOfRange unless finite."""
+    if not np.isfinite(u := complex(u)):
+        raise ParamOutOfRange("u=%r is not finite" % (u,))
+    return u
+
+
 def _log_det(values, weights, u: complex) -> complex:
     """-sum w log(1 - lambda u) by principal logs, which continue the log
     series along [0, u]: there each factor 1 - s lambda u, s in [0, 1], moves
@@ -358,10 +365,11 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     cap on 2^(n-1).  Skipping the clustering keeps the sum as sharp as the
     solves.  The branch is the continuation of the series along [0, u], at
     any |u| (see `_log_det`); SingularFactor is raised where some lambda u
-    lies on [1, inf).
+    lies on [1, inf), and ParamOutOfRange before any solve at a non-finite u.
     """
+    u = _finite_u(u)
     w = _spectrum_eigvals(local, n_sites)
-    return complex(np.exp(_log_det(w, 1.0 / (1 << n_sites), complex(u))))
+    return complex(np.exp(_log_det(w, 1.0 / (1 << n_sites), u)))
 
 
 # --- closed forms on the shift-t family -------------------------------------
@@ -376,10 +384,12 @@ def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
 
 def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
     """log zeta on the shift-t family: a binomial average of -log(1 - t^k u),
-    on the branch of `zeta_det` (continuation of the series along [0, u])."""
+    on the branch of `zeta_det` (continuation of the series along [0, u]).
+    A u that is not finite is refused with ParamOutOfRange."""
     if n_sites < 1:
         raise ParamOutOfRange("need n_sites >= 1")
+    u = _finite_u(u)
     weights = np.array([math.comb(n_sites - 1, k) for k in range(n_sites)],
                        dtype=float) / (1 << (n_sites - 1))
     powers = np.array([1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)])
-    return _log_det(powers, weights, complex(u))
+    return _log_det(powers, weights, u)

@@ -167,19 +167,19 @@ def test_verify_missing_n_is_usage_error(argv):
     assert ei.value.code == 2
 
 
-def test_verify_zero_trials_is_usage_error():
-    with pytest.raises(SystemExit) as ei:
-        run(["verify", "build-recursion", "--random", "pca", "--trials", "0", "--n", "3"])
-    assert ei.value.code == 2
+def test_verify_zero_trials_is_usage_error(capsys):
+    # no random tables: `verify_claim` refuses the empty table list
+    assert run(["verify", "build-recursion", "--random", "pca", "--trials", "0", "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one table" in err
 
 
 @pytest.mark.parametrize("claim,rmax", [("derived-halves", "0"), ("build-recursion", "-4")])
 def test_verify_rmax_below_one_is_usage_error(claim, rmax, capsys):
-    with pytest.raises(SystemExit) as ei:
-        run(["verify", claim, "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3",
-             "--rmax", rmax])
-    assert ei.value.code == 2
-    assert "--rmax" in capsys.readouterr().err
+    assert run(["verify", claim, "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3",
+                "--rmax", rmax]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "r_max" in err
 
 
 def test_verify_t_family_rejects_unequal_shifts(tmp_path):
@@ -282,11 +282,14 @@ def test_param_error_exit_code(capsys):
         "--threads", threads], None) for threads in ("0", "-4")),
     *((["dk", "scan", "--q", "1", "--p-grid", "0.5,0.9", "--trials", "3", "--horizon", "3",
         "--threads", threads], None) for threads in ("0", "-4")),
+    # a scan range with an infinite end
+    (["dk", "scan", "--q", "1", "--p-from", "0.4", "--p-to", "inf", "--p-step", "0.1"], None),
+    (["dk", "scan", "--q", "1", "--p-from=-inf", "--p-to", "0.7"], None),
 ], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
         "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan",
         "file-n-float", "file-n-bool", "file-n-string", "seed-negative", "seed-2-64",
         "tol-nan", "tol-negative", "survive-threads-0", "survive-threads-negative",
-        "scan-threads-0", "scan-threads-negative"])
+        "scan-threads-0", "scan-threads-negative", "p-to-inf", "p-from-minus-inf"])
 def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     # inputs from outside the program are usage or parameter errors, never tracebacks
     path = tmp_path / "op.json"
@@ -362,12 +365,14 @@ def test_zeta_u_outside_the_disk_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("5e-324", 3), ("inf", 2)])
+@pytest.mark.parametrize("bin_size, want", [("1e-5", 3), ("1e-300", 3), ("5e-324", 3),
+                                             ("inf", 2)])
 def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsys):
     # a 1e-5 bin asks for a 200000 x 200000 grid of 298 GiB, beyond the byte
-    # budget, and the smallest subnormal bin for more bins than a float
-    # counts; an infinite bin leaves no bin at all.  All are refused before
-    # the eigensolve, so no spectrum CSV is written either
+    # budget, a 1e-300 bin for more bytes than a float holds, and the
+    # smallest subnormal bin for more bins than a float counts; an infinite
+    # bin leaves no bin at all.  All are refused before the eigensolve, so
+    # no spectrum CSV is written either, in one short line
     spec, hist = tmp_path / "s.csv", tmp_path / "h.csv"
     tracemalloc.start()
     try:
@@ -379,6 +384,7 @@ def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsy
     err = capsys.readouterr().err
     assert code == want and peak < 4 << 20
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200
     assert not spec.exists() and not hist.exists()
 
 
@@ -389,8 +395,9 @@ def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsy
     # draw buffers of 8 GB: a long horizon, then a wide seed set
     "dk survive --p 0.5 --q 0.5 --horizon 1000000000 --trials 1 --threads 1",
     "dk survive --p 0.5 --q 0.5 --a 0,1000000000 --trials 1 --threads 1",
-    # a p-grid of 3e11 points
+    # a p-grid of 3e11 points, then a finite one whose count overflows
     "dk scan --q 1 --p-from 0.4 --p-to 0.7 --p-step 1e-12 --threads 1",
+    "dk scan --q 1 --p-from 0.4 --p-to 1e308 --p-step 1e-308 --threads 1",
 ])
 def test_outside_sizes_refused_before_allocating(argv, capsys):
     tracemalloc.start()

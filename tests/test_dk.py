@@ -233,6 +233,23 @@ def test_scan_grid_validation():
         scan_critical(1.0, [0.5, 0.4], horizon=10, trials=10)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: estimate_survival(DKParams(0.5, 0.5), (0,), 5, 3, workers=0),
+    lambda: estimate_survival(DKParams(0.5, 0.5), (0,), 5, 3, workers=-1),
+    lambda: scan_critical(1.0, [0.1, 0.2], 5, 3, workers=0),
+    lambda: scan_critical(1.0, [0.1, 0.2, 5.0], 5, 3),
+], ids=["survive-workers-0", "survive-workers-negative", "scan-workers-0", "scan-p-above-1"])
+def test_refusals_come_before_any_trial(call, monkeypatch):
+    # worker counts below one and grid points outside [0, 1] are refused
+    # before the first block of trials runs, not after some points ran
+    def refused(job):
+        raise AssertionError("ran trials for a refused call")
+
+    monkeypatch.setattr(dk, "_run_block", refused)
+    with pytest.raises(ParamOutOfRange):
+        call()
+
+
 def test_scan_is_reproducible():
     grid = [0.30, 0.60]
     a = scan_critical(1.0, grid, 80, 400, base_seed=9)
@@ -242,8 +259,8 @@ def test_scan_is_reproducible():
 
 # Survived counts recorded from the per-trial step loop before any rewrite.
 def test_trial_stream_is_the_keyed_philox():
-    # seeded from one fixed seed sequence, then keyed: the same stream as
-    # Philox(key=(base_seed, trial)), with no entropy drawn
+    # keyed by one uint64 array: the same stream as Philox(key=(base_seed,
+    # trial)), words above 2^63 included
     for base_seed, trial in ((0, 0), (1, 2), (12345, 999), (2 ** 64 - 1, 0), (3, 2 ** 64 - 1),
                              (2 ** 64 - 1, 2 ** 64 - 1)):
         key = np.array([base_seed, trial], dtype=np.uint64)

@@ -8,7 +8,7 @@ import pytest
 from ipszeta import operators, zeta
 from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
-from ipszeta.errors import SingularFactor, SizeCapExceeded
+from ipszeta.errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
 from ipszeta.operators import (
     _sweep_2d,
     _sweep_blocks,
@@ -436,6 +436,23 @@ def test_t_case_log_zeta_matches_series():
 def test_t_case_log_zeta_singularity():
     with pytest.raises(SingularFactor):
         t_case_log_zeta(1.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf, complex(0.1, math.nan),
+                               complex(math.inf, 0.2)])
+def test_non_finite_u_refused_before_any_solve(u, monkeypatch):
+    # a non-finite u has no zeta value: refused, not returned as nan or inf
+    def refused(*args, **kwargs):
+        raise AssertionError("solved for a u that is refused")
+
+    monkeypatch.setattr(zeta, "_spectrum_eigvals", refused)
+    loc = dk_local_operator(DKParams(0.5, 0.75))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamOutOfRange):
+            zeta_det(loc, 4, u)
+        with pytest.raises(ParamOutOfRange):
+            t_case_log_zeta(0.5, 4, u)
 
 
 def test_series_vs_determinant(rng):
