@@ -121,7 +121,7 @@ def _check_block_sums(local: LocalOperator, n_sites: int, r_max: int):
     Q_{n-1}, Q_n and the two sums, 1.75 operators of Q_n."""
     if n_sites < 2:
         raise ParamOutOfRange("block-sums needs n >= 2")
-    _check_budget(n_sites, 16 * 4 ** n_sites * 7 // 4)
+    _check_budget(n_sites, operators=1.75)
     prev = build_global_recursive(local, n_sites - 1).dense
     big = _recursion_step(local, prev)
     h = prev.shape[0]

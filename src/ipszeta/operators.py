@@ -16,6 +16,7 @@ Matrix-free actions apply the factors two pairs at a time through the dense
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,8 +29,7 @@ from .errors import (
     SparsityViolation,
 )
 
-# The one size rule: no entry point may peak above 4 GiB (a complex dense
-# operator is 16*4**n bytes).  Dense builds stop at n = 13, states at n = 26.
+# The one size rule (see `_check_budget`): no entry point may peak above 4 GiB.
 _BYTE_BUDGET = 1 << 32
 
 # Bytes of a state that a sweep carries through all the passes it can make
@@ -177,19 +177,27 @@ class GlobalOperator:
     dense: np.ndarray
 
 
+def _amount(x) -> str:
+    """x in four significant figures, or as a power of two past float range."""
+    return "2^%.1f" % math.log2(x) if isinstance(x, int) and x >= 2 ** 1024 else "%.4g" % x
+
+
 def _charge(nbytes, what: str):
     """Refuse `what` if the `nbytes` it needs exceed the byte budget; call
     before allocating."""
     if nbytes > _BYTE_BUDGET:
-        raise SizeCapExceeded("%s needs %s bytes, beyond the size cap of %d bytes"
-                              % (what, nbytes, _BYTE_BUDGET))
+        raise SizeCapExceeded("%s needs %s bytes, beyond the size cap of %s bytes"
+                              % (what, _amount(nbytes), _amount(_BYTE_BUDGET)))
 
 
-def _check_budget(n_sites: int, peak_bytes: int):
-    """Refuse n < 1, or a peak beyond the byte budget; call before allocating."""
+def _check_budget(n_sites: int, operators: float = 0, states: float = 0):
+    """Refuse n < 1, or a peak of `operators` complex dense operators of Q_n
+    (16*4**n bytes each) and `states` complex states (16*2**n bytes each)
+    beyond the byte budget; call before allocating."""
     if n_sites < 1:
         raise ParamOutOfRange("need at least one site, got n=%d" % n_sites)
-    _charge(peak_bytes, "n=%d" % n_sites)
+    _charge((round(16 * operators) << 2 * n_sites) + (round(16 * states) << n_sites),
+            "n=%d" % n_sites)
 
 
 def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator:
@@ -205,7 +213,7 @@ def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator
     (the last step holds P_(n-3), P_(n-3) (x) I_2 and the product).
     """
     a = _sweep_table(local.matrix)
-    _check_budget(n_sites, 16 * 4 ** n_sites * (9 if a.dtype.kind == "c" else 6) // 4)
+    _check_budget(n_sites, operators=2.25 if a.dtype.kind == "c" else 1.5)
     if n_sites == 1:
         return GlobalOperator(1, np.eye(2, dtype=complex))
     p = a
@@ -239,7 +247,7 @@ def build_global_recursive(local: LocalOperator, n_sites: int) -> GlobalOperator
     one broadcast product per site; it matches the Kronecker construction
     entrywise.  The peak is 1.25 complex dense operators: Q_(n-1) and Q_n.
     """
-    _check_budget(n_sites, 16 * 4 ** n_sites * 5 // 4)
+    _check_budget(n_sites, operators=1.25)
     q = np.eye(2, dtype=complex)
     for _ in range(n_sites - 1):
         q = _recursion_step(local, q)
@@ -369,7 +377,7 @@ def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
     of the state, and never more than one state, so the 3 states charged
     bound it up to the few KiB of Q_3 and the narrow passes' kron blocks.
     """
-    _check_budget(n_sites, 3 * 16 * 2 ** n_sites)
+    _check_budget(n_sites, states=3)
     v = np.asarray(state)
     if v.shape != (1 << n_sites,):
         raise LengthMismatch("state has shape %r, expected (%d,)" % (v.shape, 1 << n_sites))

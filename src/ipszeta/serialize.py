@@ -38,7 +38,7 @@ def dump_json(obj: dict) -> str:
 
 
 def operator_to_json(local: LocalOperator, n_sites: int, label: str | None = None) -> str:
-    _check_budget(n_sites, 0)  # refuses n < 1; the file holds no operator
+    _check_budget(n_sites)  # refuses n < 1; the file holds no operator
     flat = [[z.real, z.imag] for z in local.matrix.ravel()]
     return dump_json({
         "n": n_sites,
@@ -61,7 +61,7 @@ def operator_from_json(text: str):
                          "[re, im] pairs: %s: %s" % (type(exc).__name__, exc)) from exc
     if m.shape != (16,):
         raise ValueError("a_kl_ij needs 16 [re, im] entries, got %d" % len(m))
-    _check_budget(n_sites, 0)
+    _check_budget(n_sites)
     return n_sites, make_local_operator(m.reshape(4, 4), label=doc.get("label") or None)
 
 

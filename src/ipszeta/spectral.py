@@ -27,6 +27,7 @@ import numpy as np
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from .operators import (
     LocalOperator,
+    _amount,
     _charge,
     _check_budget,
     _recursion_step,
@@ -175,7 +176,7 @@ def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
 def _check_eig_dim(dim: int):
     """Refuse what `eig_dense` would refuse, before the matrix is built."""
     if dim > EIG_DIM_CAP:
-        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (dim, EIG_DIM_CAP))
+        raise SizeCapExceeded("dimension %s exceeds eigensolver cap %d" % (_amount(dim), EIG_DIM_CAP))
 
 
 def _eigvals_checked(a: np.ndarray) -> np.ndarray:
@@ -382,11 +383,11 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) taken once
     from `_eigvals_checked` (a 1 x 1 D with no solve), and any other comes
     from one run of `_half_eigvals`, at every level when the other half is
-    derived from it, else at level n alone.  Returned as complex128.  The
-    byte budget of one dense operator of Q_n and the eigensolver cap on
-    2^(n-2) are checked before anything is built.
+    derived from it, else at level n alone.  Returned as complex128.  One
+    dense operator of Q_n and the eigensolver cap on 2^(n-2) are checked
+    before anything is built, the cap on 2^(n-1) where a level fails.
     """
-    _check_budget(n_sites, 16 * 4 ** n_sites)
+    _check_budget(n_sites, operators=1)
     _check_eig_dim(2 ** (n_sites - 2))
     derived = _derived_halves(local)
     # equal half tables share their one D, solved once
@@ -412,20 +413,18 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     diagonal, or both when M_0 == M_1 exactly, is derived level by level as
     the union of Spec(D) b_i(m-1) over the (D, i) pairs of
     `_derived_halves`, with no eigensolve beyond one 2 x 2 solve of equal
-    half tables.  In any other half the
-    paper's spectral recursion holds on its own: Spec B_c(n) = {1} united
-    with Spec B_c(m) (D_m)_c for m < n, D_m the two column-block shifts
-    over the halves of Q_m, wherever every level passes that half's block
-    certificate.  Such a half is grown and certified alone and solved by
-    its blocks, of dimension up to 2^(n-2), or whole, of dimension 2^(n-1),
-    from its first level that fails (see `_half_eigvals`); Q_n itself is
-    never formed.  The byte budget of one dense operator of Q_n and the
-    eigensolver cap on 2^(n-2) are checked before anything is built, the
-    cap on 2^(n-1) when a level fails.  One half is grown at a time:
-    B_c(n-1) and B_c(n), five sixteenths (half that for a real table, grown
-    in float64), beside a block's eigensolve or the certificate's buffers;
-    or one B_c(n) beside its eigensolve.  Each solve is checked as in
-    `eig_dense`, and the union of both halves is clustered once.
+    half tables.  In any other half the paper's spectral recursion holds on
+    its own: Spec B_c(n) = {1} united with Spec B_c(m) (D_m)_c for m < n,
+    D_m the two column-block shifts over the halves of Q_m, wherever every
+    level passes that half's block certificate.  Such a half is grown and
+    certified alone and solved by its blocks, of dimension up to 2^(n-2),
+    or whole, of dimension 2^(n-1), from its first level that fails (see
+    `_half_eigvals`); Q_n itself is never formed.  Sizes are checked as in
+    `_spectrum_eigvals`.  One half is grown at a time: B_c(n-1) and B_c(n),
+    five sixteenths (half that for a real table, grown in float64), beside
+    a block's eigensolve or the certificate's buffers; or one B_c(n) beside
+    its eigensolve.  Each solve is checked as in `eig_dense`, and the union
+    of both halves is clustered once.
     """
     return _cluster(_spectrum_eigvals(local, n_sites))
 
@@ -436,8 +435,7 @@ def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:
     Applies when both column-block shifts equal t and columns sum to 1; the
     k = 0 power is 1 even at t = 0.
     """
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
+    _check_budget(n_sites)
     values = [1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)]
     mults = [2 * comb(n_sites - 1, k) for k in range(n_sites)]
     return SpectrumMultiset.from_pairs(values, mults, 1 << n_sites)
@@ -471,13 +469,14 @@ class HistogramGrid:
 
 
 def _histogram_bins(bin_size: float) -> int:
-    """Bins per axis of the histogram grid at bin_size; refuses a grid whose
-    8 * n_bins^2 bytes exceed the byte budget, before anything allocates.
-    The bytes are a float product, exact below 2^53 and inf past overflow, so
-    even a subnormal bin_size (inf bins) is refused in a short message."""
+    """Bins per axis of the histogram grid at bin_size, at least one;
+    refuses a grid whose 8 * n_bins^2 bytes exceed the byte budget, before
+    anything allocates.  The bytes are a float product, exact below 2^53
+    and inf past overflow, so even a subnormal bin_size (inf bins) is
+    refused in a short message."""
     if not 0 < bin_size < np.inf:
         raise ParamOutOfRange("bin_size must be positive and finite")
-    n_bins = float(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9))
+    n_bins = max(1.0, float(np.ceil((HistogramGrid.high - HistogramGrid.low) / bin_size - 1e-9)))
     _charge(8 * n_bins * n_bins,
             "bin size %r (a %g x %g histogram grid)" % (bin_size, n_bins, n_bins))
     return int(n_bins)
@@ -502,8 +501,7 @@ def histogram(spec: SpectrumMultiset, bin_size: float = 0.05) -> HistogramGrid:
 def trace_path_sum(local: LocalOperator, n_sites: int) -> complex:
     """Trace of the n-site operator as the grand sum of the (n-1)-st power of
     the 2x2 self-transition table; equals 2 at n = 1."""
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
+    _check_budget(n_sites)
     t = local.self_transition_table()
     return complex(np.linalg.matrix_power(t, n_sites - 1).sum())
 
@@ -518,8 +516,7 @@ def trace_closed_form(local: LocalOperator, n_sites: int) -> complex:
     the two, rho the larger root modulus; where either is at most 1e-4 rho,
     the trace falls back to the transfer-table path sum.
     """
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
+    _check_budget(n_sites)
     t = local.self_transition_table()
     a00, a01, a10, a11 = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
     disc = np.sqrt(complex((a00 - a11) ** 2 + 4 * a01 * a10))

@@ -35,11 +35,11 @@ _TRACE_BATCH_BYTES = 1 << 22
 
 
 def _admit_traces(n_sites: int, r_max: int, bytes_per_power: int):
-    """Refuse power traces that `_trace_sweeps` would refuse, before
-    allocating: n or r_max below 1, n beyond the byte budget of one complex
-    dense operator, or r_max arrays of `bytes_per_power` bytes a power
-    beyond it."""
-    _check_budget(n_sites, 16 * 4 ** n_sites)
+    """Refuse power traces before allocating: n or r_max below 1, n beyond
+    one complex dense operator (the sweeps need a few MiB, but their time
+    grows with half the 4^n entries of each power), or r_max arrays of
+    `bytes_per_power` bytes a power beyond the byte budget."""
+    _check_budget(n_sites, operators=1)
     if r_max < 1:
         raise ParamOutOfRange("need r_max >= 1")
     _charge(r_max * bytes_per_power, "r_max=%d" % r_max)
@@ -61,10 +61,7 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     state beyond the sweep's scratch; the table and Q_3 are built once for
     every power.  A table with zero imaginary part keeps real columns,
     since their imaginary part stays zero.  A batch holds
-    `_TRACE_BATCH_BYTES` of columns.  The sweeps need a few
-    MiB, but their time grows with half the 4^n entries of each power, so
-    they are admitted where the complex dense operator fits the byte
-    budget.  The r_max-long traces and norms are charged on their own.
+    `_TRACE_BATCH_BYTES` of columns.  Sizes are admitted by `_admit_traces`.
     """
     _admit_traces(n_sites, r_max, 24 if with_norms else 16)
     dim = 1 << n_sites
@@ -196,10 +193,9 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     where the block route's bytes (`_block_route_bytes`) exceed the byte
     budget, or where its largest block is wider than `EIG_DIM_CAP` (n >= 13):
     there its dense products, which grow as 8^n, take longer than the sweep,
-    whose time grows as 4^n, and hold far more.  Checked as `_trace_sweeps`;
-    the r_max-long arrays of the derived halves (the half tables' powers,
-    the weights and the traces of each level) are charged at 256 bytes a
-    power.
+    whose time grows as 4^n, and hold far more.  Admitted by `_admit_traces`
+    with the r_max-long arrays of the derived halves (the half tables'
+    powers, the weights and each level's traces) at 256 bytes a power.
     """
     _admit_traces(n_sites, r_max, 256)
     weights = _derived_weights(local, r_max)
@@ -223,14 +219,15 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> 
     derived from the (D, i) pairs of `spectral._derived_halves` by the
     O(n r_max) recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, any other
     from the traces of its certified blocks, or from the paired sweep where
-    a certificate fails (see `_power_traces`).  No dense power of Q is ever
-    stored.
+    a certificate fails (see `_power_traces`); no dense power of Q is stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 
 
 def c_r(local: LocalOperator, n_sites: int, r: int) -> complex:
     """Normalized power trace tr(Q^r)/2^n."""
+    if r < 1:
+        raise ParamOutOfRange("need r >= 1, got r=%d" % r)
     return complex(power_trace_coefficients(local, n_sites, r)[r - 1])
 
 
@@ -359,13 +356,11 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     """Zeta value from the determinant form, per-factor principal logs.
 
     The logs are summed over the unclustered eigenvalues behind
-    `spectral.spectrum`, one per dimension: its last-site halves, derived
-    from the other levels where a half table allows it and otherwise solved
-    by their certified blocks, the eigensolver cap on 2^(n-2), or whole, the
-    cap on 2^(n-1).  Skipping the clustering keeps the sum as sharp as the
-    solves.  The branch is the continuation of the series along [0, u], at
-    any |u| (see `_log_det`); SingularFactor is raised where some lambda u
-    lies on [1, inf), and ParamOutOfRange before any solve at a non-finite u.
+    `spectral.spectrum`, one per dimension (see `spectral._spectrum_eigvals`);
+    skipping the clustering keeps the sum as sharp as the solves.  The
+    branch is the continuation of the series along [0, u], at any |u| (see
+    `_log_det`); SingularFactor is raised where some lambda u lies on
+    [1, inf), and ParamOutOfRange before any solve at a non-finite u.
     """
     u = _finite_u(u)
     w = _spectrum_eigvals(local, n_sites)
@@ -377,8 +372,9 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
 
 def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
     """Closed-form coefficient ((1 + t^r)/2)^(n-1) on the shift-t family."""
-    if n_sites < 1 or r < 1:
-        raise ParamOutOfRange("need n_sites >= 1 and r >= 1")
+    _check_budget(n_sites)
+    if r < 1:
+        raise ParamOutOfRange("need r >= 1, got r=%d" % r)
     return complex(((1.0 + complex(t) ** r) / 2.0) ** (n_sites - 1))
 
 
@@ -386,8 +382,7 @@ def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
     """log zeta on the shift-t family: a binomial average of -log(1 - t^k u),
     on the branch of `zeta_det` (continuation of the series along [0, u]).
     A u that is not finite is refused with ParamOutOfRange."""
-    if n_sites < 1:
-        raise ParamOutOfRange("need n_sites >= 1")
+    _check_budget(n_sites)
     u = _finite_u(u)
     weights = np.array([math.comb(n_sites - 1, k) for k in range(n_sites)],
                        dtype=float) / (1 << (n_sites - 1))

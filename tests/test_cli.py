@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 import sys
 import tracemalloc
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ipszeta import cli, dk
+from ipszeta.claims import CLAIMS
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator
 from ipszeta.operators import build_global_kronecker, make_local_operator, random_local_operator
@@ -388,7 +390,28 @@ def test_histogram_bin_refused_before_eigensolve(bin_size, want, tmp_path, capsy
     assert not spec.exists() and not hist.exists()
 
 
+def test_histogram_bin_beyond_the_square_is_one_bin(tmp_path):
+    # a bin wider than the square [-1, 1]^2 gives a grid of one bin; at
+    # 1e10 the bin count rounds up from a tiny negative number
+    spec, hist = tmp_path / "s.csv", tmp_path / "h.csv"
+    assert run(["spectrum", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "3",
+                "--bin", "1e10", "--out", str(spec), "--hist", str(hist)]) == 0
+    text = hist.read_text()
+    assert "# n_bins=1\n" in text and "# total=8\n" in text
+
+
+# every entry point sized by n, at sizes whose byte counts have thousands of
+# digits: the refusal still prints as one short line
+_HUGE_N = [
+    "%s --model dk --p 0.5 --q 0.75 --n %d" % (command, n)
+    for n in (10000, 20000)
+    for command in ("op build --format csv", "spectrum", "zeta",
+                    *("verify " + claim for claim in CLAIMS))
+]
+
+
 @pytest.mark.parametrize("argv", [
+    *_HUGE_N,
     # r_max-long trace arrays of 149 GiB
     "zeta --model dk --p 0.5 --q 0.5 --n 2 --rmax 10000000000",
     "verify t-family --model dk --p 0.3 --q 0.6 --n 2 --rmax 10000000000",
@@ -409,6 +432,8 @@ def test_outside_sizes_refused_before_allocating(argv, capsys):
     err = capsys.readouterr().err
     assert code == 3 and peak < 4 << 20
     assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and len(err) < 200 and "cap" in err
+    assert not re.search(r"\d{61}", err)
 
 
 class _FirstPoint(Exception):

@@ -20,7 +20,7 @@ from ipszeta.operators import (
     qca_rotation_local,
     random_local_operator,
 )
-from ipszeta.spectral import EIG_DIM_CAP, trace_closed_form, trace_path_sum
+from ipszeta.spectral import EIG_DIM_CAP, t_case_spectrum, trace_closed_form, trace_path_sum
 from ipszeta.zeta import (
     c_r,
     power_trace_coefficients,
@@ -62,6 +62,25 @@ def test_trace_cap():
     loc = dk_local_operator(DKParams(0.4, 0.7))
     with pytest.raises(SizeCapExceeded):
         power_trace_coefficients(loc, 15, 2)
+    # c_r names its own argument, not the r_max it passes on
+    for r in (0, -1):
+        with pytest.raises(ParamOutOfRange, match="need r >= 1, got r=%d" % r):
+            c_r(loc, 3, r)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: trace_path_sum(dk_local_operator(DKParams(0.4, 0.7)), n),
+    lambda n: trace_closed_form(dk_local_operator(DKParams(0.4, 0.7)), n),
+    lambda n: t_case_spectrum(0.5, n),
+    lambda n: t_case_c_r(0.5, n, 1),
+    lambda n: t_case_log_zeta(0.5, n, 0.1),
+], ids=["trace_path_sum", "trace_closed_form", "t_case_spectrum", "t_case_c_r",
+        "t_case_log_zeta"])
+def test_closed_forms_refuse_no_sites(call):
+    # the closed forms share the one size rule's refusal of n < 1
+    for n in (0, -1):
+        with pytest.raises(ParamOutOfRange, match="at least one site"):
+            call(n)
 
 
 def test_default_trace_batch_is_byte_budget(rng, monkeypatch):
