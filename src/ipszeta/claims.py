@@ -164,7 +164,7 @@ def _check_spectral_recursion(local: LocalOperator, n_sites: int, r_max: int):
     C_1..C_rmax of Q_(n+1) from `power_trace_coefficients`, which takes them
     from the certified blocks, against the paired sweep (see `_trace_error`).
     """
-    _check_eig_dim(2 ** (n_sites + 1))
+    _check_eig_dim(n_sites + 1)
     qn = build_global_recursive(local, n_sites).dense
     qn1 = _recursion_step(local, qn)
     d = np.repeat(shift_coefficients(local), 1 << (n_sites - 1))
@@ -185,7 +185,7 @@ def _check_t_family(local: LocalOperator, n_sites: int, r_max: int):
     the same claim, which defective spectra and transient growth of Q^r can
     swamp."""
     t = shift_coefficients(local)[0]
-    _check_eig_dim(2 ** n_sites)
+    _check_eig_dim(n_sites)
     residuals = []
     q = build_global_recursive(local, 1).dense
     for _ in range(n_sites - 1):
@@ -205,7 +205,7 @@ def _check_derived_halves(local: LocalOperator, n_sites: int, r_max: int):
     to max(1, sum |lambda|^r) of the latter.  Side measure `trace_error`:
     the coefficients `power_trace_coefficients` derives from the half
     tables against the paired sweep (see `_trace_error`)."""
-    _check_eig_dim(2 ** n_sites)
+    _check_eig_dim(n_sites)
     got = _spectrum_eigvals(local, n_sites)
     want = eig_dense(build_global_recursive(local, n_sites).dense)
     r = np.arange(1, r_max + 1)[:, None]

@@ -193,11 +193,19 @@ def _charge(nbytes, what: str):
 def _check_budget(n_sites: int, operators: float = 0, states: float = 0):
     """Refuse n < 1, or a peak of `operators` complex dense operators of Q_n
     (16*4**n bytes each) and `states` complex states (16*2**n bytes each)
-    beyond the byte budget; call before allocating."""
+    beyond the byte budget; call before allocating.  Past the budget's bit
+    length either count alone exceeds it, so the refusal is decided and
+    printed from the exponent, with no integer of about n bits formed."""
     if n_sites < 1:
         raise ParamOutOfRange("need at least one site, got n=%d" % n_sites)
-    _charge((round(16 * operators) << 2 * n_sites) + (round(16 * states) << n_sites),
-            "n=%d" % n_sites)
+    per_operator, per_state = round(16 * operators), round(16 * states)
+    if n_sites <= _BYTE_BUDGET.bit_length():
+        _charge((per_operator << 2 * n_sites) + (per_state << n_sites), "n=%d" % n_sites)
+    elif per_operator or per_state:
+        log2 = (math.log2(per_operator) + 2 * n_sites if per_operator
+                else math.log2(per_state) + n_sites)
+        raise SizeCapExceeded("n=%d needs 2^%.1f bytes, beyond the size cap of %s bytes"
+                              % (n_sites, log2, _amount(_BYTE_BUDGET)))
 
 
 def build_global_kronecker(local: LocalOperator, n_sites: int) -> GlobalOperator:

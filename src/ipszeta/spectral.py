@@ -27,7 +27,6 @@ import numpy as np
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from .operators import (
     LocalOperator,
-    _amount,
     _charge,
     _check_budget,
     _recursion_step,
@@ -173,10 +172,12 @@ def match_multisets(a: SpectrumMultiset, b: SpectrumMultiset, tol: float):
     return worst <= tol, worst
 
 
-def _check_eig_dim(dim: int):
-    """Refuse what `eig_dense` would refuse, before the matrix is built."""
-    if dim > EIG_DIM_CAP:
-        raise SizeCapExceeded("dimension %s exceeds eigensolver cap %d" % (_amount(dim), EIG_DIM_CAP))
+def _check_eig_dim(log2_dim: int):
+    """Refuse what `eig_dense` would refuse of dimension 2^log2_dim, before
+    the matrix is built; decided from the exponent, so a refusal at any n
+    forms no integer of about n bits."""
+    if log2_dim > EIG_DIM_CAP.bit_length() - 1:
+        raise SizeCapExceeded("dimension 2^%d exceeds eigensolver cap %d" % (log2_dim, EIG_DIM_CAP))
 
 
 def _eigvals_checked(a: np.ndarray) -> np.ndarray:
@@ -256,7 +257,8 @@ def eig_dense(matrix: np.ndarray) -> SpectrumMultiset:
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
-    _check_eig_dim(a.shape[0])
+    if a.shape[0] > EIG_DIM_CAP:
+        raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (a.shape[0], EIG_DIM_CAP))
     return _cluster(_eigvals_checked(a))
 
 
@@ -340,7 +342,7 @@ def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> lis
     m = len(blocks)  # levels up to m are proven by their blocks
     out = [np.concatenate(blocks[:k]) for k in range(first, m + 1)]
     if m < n_sites:
-        _check_eig_dim(2 ** (n_sites - 1))
+        _check_eig_dim(n_sites - 1)
         b = grown
         for k in range(m + 1, n_sites + 1):
             if k > m + 1:
@@ -388,7 +390,7 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     before anything is built, the cap on 2^(n-1) where a level fails.
     """
     _check_budget(n_sites, operators=1)
-    _check_eig_dim(2 ** (n_sites - 2))
+    _check_eig_dim(n_sites - 2)
     derived = _derived_halves(local)
     # equal half tables share their one D, solved once
     spectra = {id(d): d for pairs in derived if pairs for d, _ in pairs}
@@ -433,9 +435,13 @@ def t_case_spectrum(t: complex, n_sites: int) -> SpectrumMultiset:
     """Spectrum {t^k with multiplicity 2*C(n-1,k)} of a shift-t global operator.
 
     Applies when both column-block shifts equal t and columns sum to 1; the
-    k = 0 power is 1 even at t = 0.
+    k = 0 power is 1 even at t = 0.  Refused from n = 63, where the
+    multiplicities sum to 2^n, past the int64 that holds them.
     """
     _check_budget(n_sites)
+    if n_sites >= 63:
+        raise SizeCapExceeded("n=%d: multiplicities summing to 2^%d exceed the int64 multiplicity "
+                              "limit 2^63 - 1" % (n_sites, n_sites))
     values = [1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)]
     mults = [2 * comb(n_sites - 1, k) for k in range(n_sites)]
     return SpectrumMultiset.from_pairs(values, mults, 1 << n_sites)

@@ -129,26 +129,24 @@ def _block_traces(block: np.ndarray, r_max: int, spare: np.ndarray) -> np.ndarra
     return (giants.reshape(giant_steps, -1) @ babies.reshape(k, -1).T).ravel()[:r_max]
 
 
-def _block_route_bytes(local: LocalOperator, n_sites: int, r_max: int) -> int:
-    """Bytes the certified block route of one half holds at its peak, in
-    the dtype of `_sweep_table`, counted in blocks of the largest
-    dimension 2^(n-2): B_c(n-1) and B_c(n) (5 blocks), the buffer for the
-    babies and giants of every block, the certificate's two column sums,
-    its shifted difference and their absolute values (5) beside the block
-    below (a quarter), or the block C_(n-1) (1); and the (n, r_max) traces
-    of both halves."""
-    blocks = 11 + sum(_baby_giant(r_max))
-    block = _sweep_table(local.matrix).dtype.itemsize << 2 * max(n_sites - 2, 0)
-    return blocks * block + 32 * n_sites * r_max
-
-
 def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.ndarray | None:
     """t_c(m) = tr B_c(m)^r for m = 1..n and r = 1..r_max as the rows of
     an (n, r_max) array, t_c(m) = 1 + sum_(j<m) tr C_j^r over the blocks
     of `spectral._certified_blocks`, each by `_block_traces` in one buffer
-    sized for the largest; None if a level below n fails its certificate."""
+    sized for the largest.  None where a level below n fails its
+    certificate, and before any buffer where the largest block, of
+    dimension 2^(n-2), is wider than `EIG_DIM_CAP` or the peak exceeds the
+    byte budget.  The peak, in largest blocks: B_c(n-1) and B_c(n) (5), the
+    babies and giants, the certificate's sums, differences and their
+    absolute values (5) beside a quarter block or C_(n-1) (1); and both
+    halves' (n, r_max) traces."""
     table = _sweep_table(local.matrix)
-    spare = np.empty(sum(_baby_giant(r_max)) << 2 * max(n_sites - 2, 0), dtype=table.dtype)
+    steps = sum(_baby_giant(r_max))
+    dim = 1 << max(n_sites - 2, 0)
+    if (dim > EIG_DIM_CAP
+            or (11 + steps) * dim * dim * table.itemsize + 32 * n_sites * r_max > _BYTE_BUDGET):
+        return None
+    spare = np.empty(steps * dim * dim, dtype=table.dtype)
     t = np.ones((n_sites, r_max), dtype=complex)
     for m, (block, _) in enumerate(islice(_certified_blocks(local, c), n_sites - 1), 1):
         if block is None:
@@ -157,60 +155,36 @@ def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.n
     return t
 
 
-def _derived_weights(local: LocalOperator, r_max: int) -> list:
-    """For each last-site half c, a (2, r_max) array W with
-    tr B_c(m)^r = W[0, r-1] t_0(m-1) + W[1, r-1] t_1(m-1), t_i(m) = tr B_i(m)^r,
-    wherever `spectral._derived_halves` derives b_c(m) from level m-1; else
-    None.  W[i] sums tr D^r over the pairs (D, i) there, read from the
-    powers of D by `_powers`, with no solve: a 1 x 1 D gives exactly the
-    products on the diagonal of a triangular half table's powers, and a
-    2 x 2 one tr M^r, sharper than a sum of powers of its eigenvalues.
-    """
-    out = []
-    for pairs in _derived_halves(local):
-        w = None if pairs is None else np.zeros((2, r_max), dtype=complex)
-        for d, i in pairs or ():
-            powers = _powers(d, np.empty((r_max, *d.shape), dtype=d.dtype))
-            w[i] += np.trace(powers, axis1=1, axis2=2)
-        out.append(w)
-    return out
-
-
 def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """tr(Q^r) for r = 1..r_max from the last-site halves, t_0(n) + t_1(n)
     with t_c(n) = tr B_c(n)^r, by the recursion of
-    `spectral._spectrum_eigvals`: a half that `_derived_weights` allows
-    takes t_c(m) from t_0(m-1) and t_1(m-1), any other takes every t_c(m)
-    from its certified blocks (see `_half_traces`).
-
-    So where both halves derive (the QCA rotation, DK at q = 1, 9 of the 16
-    CA rules and (NOT, NOT)) the recursion runs from t_c(1) = 1 to level n
-    in O(n r_max), with no sweep.  Where a half must be solved, its blocks
-    C_m of dimension up to 2^(n-2) give it, about 2 sqrt(r_max) products a
-    block, on tables whose columns sum to 1 (every other DK table, bond DK,
-    PCA, CA, complex-stochastic).  The traces come from the paired sweep at
-    level n instead where a level of such a half fails its certificate,
-    where the block route's bytes (`_block_route_bytes`) exceed the byte
-    budget, or where its largest block is wider than `EIG_DIM_CAP` (n >= 13):
-    there its dense products, which grow as 8^n, take longer than the sweep,
-    whose time grows as 4^n, and hold far more.  Admitted by `_admit_traces`
-    with the r_max-long arrays of the derived halves (the half tables'
-    powers, the weights and each level's traces) at 256 bytes a power.
-    """
+    `spectral._spectrum_eigvals` from t_c(1) = 1.  A half with (D, i) pairs
+    from `spectral._derived_halves` takes t_c(m) = sum tr(D^r) t_i(m-1),
+    tr(D^r) read from the powers of D by `_powers` with no solve: exact
+    diagonal products for a 1 x 1 D, and for a 2 x 2 one tr M^r, sharper
+    than a sum of powers of its eigenvalues.  Any other half takes every
+    t_c(m) from its certified blocks (see `_half_traces`), about
+    2 sqrt(r_max) products a block.  A half that neither derives nor gets
+    traces sends the call to the paired sweep at level n: beyond
+    `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n, take
+    longer than the sweep, whose time grows as 4^n, and hold far more.
+    Admitted by `_admit_traces` with the r_max-long arrays of the derived
+    halves (the half tables' powers and each level's traces) at 256 bytes
+    a power."""
     _admit_traces(n_sites, r_max, 256)
-    weights = _derived_weights(local, r_max)
-    fits = (1 << max(n_sites - 2, 0) <= EIG_DIM_CAP
-            and _block_route_bytes(local, n_sites, r_max) <= _BYTE_BUDGET)
-    solved = [None, None]
-    for c, w in enumerate(weights):
-        if w is None:
-            solved[c] = _half_traces(local, n_sites, r_max, c) if fits else None
-            if solved[c] is None:
-                return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
+    derived = _derived_halves(local)
+    solved = []
+    for c, pairs in enumerate(derived):
+        solved.append(None if pairs else _half_traces(local, n_sites, r_max, c))
+        if pairs is None and solved[c] is None:
+            return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
+    traces = [pairs and [(np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)),
+                                   axis1=1, axis2=2), i) for d, i in pairs]
+              for pairs in derived]
     t = np.ones((2, r_max), dtype=complex)
     for m in range(1, n_sites):
-        t = np.stack([solved[c][m] if w is None else (w * t).sum(axis=0)
-                      for c, w in enumerate(weights)])
+        t = np.stack([solved[c][m] if pairs is None else sum(w * t[i] for w, i in pairs)
+                      for c, pairs in enumerate(traces)])
     return t.sum(axis=0)
 
 
@@ -219,7 +193,7 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> 
     derived from the (D, i) pairs of `spectral._derived_halves` by the
     O(n r_max) recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, any other
     from the traces of its certified blocks, or from the paired sweep where
-    a certificate fails (see `_power_traces`); no dense power of Q is stored.
+    the blocks give none (see `_power_traces`); no dense power of Q is stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 
@@ -345,11 +319,18 @@ def _log_det(values, weights, u: complex) -> complex:
     """-sum w log(1 - lambda u) by principal logs, which continue the log
     series along [0, u]: there each factor 1 - s lambda u, s in [0, 1], moves
     straight from 1 and meets the cut (-inf, 0] only where lambda u is real
-    and >= 1.  Raises SingularFactor when a computed factor lies on the cut."""
-    factors = 1.0 - values * u
+    and >= 1.  Raises SingularFactor when a computed factor lies on the cut.
+    Each log is log1p(z), z = -lambda u: z itself where |z| < eps, within
+    z^2/2 of it, and log(f) z / (f - 1) with f = 1 + z rounded (Kahan) up to
+    |z| = 1; np.log(f) and, on complex input, np.log1p drop z under eps/2."""
+    z = -values * u
+    factors = 1.0 + z
     if np.any((factors.imag == 0) & (factors.real <= 0)):
         raise SingularFactor("1 - lambda*u lies on (-inf, 0] at u = %r" % (u,))
-    return complex(-np.sum(weights * np.log(factors)))
+    logs, size = np.log(factors), np.abs(z)
+    near = (size >= np.finfo(float).eps) & (size < 1)
+    logs[near] *= z[near] / (factors[near] - 1)
+    return complex(-np.sum(weights * np.where(size < np.finfo(float).eps, z, logs)))
 
 
 def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
@@ -380,11 +361,15 @@ def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
 
 def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
     """log zeta on the shift-t family: a binomial average of -log(1 - t^k u),
-    on the branch of `zeta_det` (continuation of the series along [0, u]).
-    A u that is not finite is refused with ParamOutOfRange."""
+    on the branch of `zeta_det` (continuation of the series along [0, u]),
+    with weights C(n-1, k) / 2^(n-1) divided exactly in integers: finite at
+    every n, in O(n^2) bit operations.  A u that is not finite is refused
+    with ParamOutOfRange."""
     _check_budget(n_sites)
     u = _finite_u(u)
-    weights = np.array([math.comb(n_sites - 1, k) for k in range(n_sites)],
-                       dtype=float) / (1 << (n_sites - 1))
+    total, binomial, weights = 1 << (n_sites - 1), 1, []
+    for k in range(n_sites):
+        weights.append(binomial / total)
+        binomial = binomial * (n_sites - 1 - k) // (k + 1)
     powers = np.array([1.0 + 0j if k == 0 else complex(t) ** k for k in range(n_sites)])
-    return _log_det(powers, weights, u)
+    return _log_det(powers, np.array(weights), u)

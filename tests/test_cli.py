@@ -401,10 +401,11 @@ def test_histogram_bin_beyond_the_square_is_one_bin(tmp_path):
 
 
 # every entry point sized by n, at sizes whose byte counts have thousands of
-# digits: the refusal still prints as one short line
+# digits (or, at n = 10^9, a byte count of 2 billion bits): the refusal still
+# prints as one short line, decided without forming that count
 _HUGE_N = [
     "%s --model dk --p 0.5 --q 0.75 --n %d" % (command, n)
-    for n in (10000, 20000)
+    for n in (10000, 20000, 1000000000)
     for command in ("op build --format csv", "spectrum", "zeta",
                     *("verify " + claim for claim in CLAIMS))
 ]

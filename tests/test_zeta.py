@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ipszeta import operators, zeta
+from ipszeta import zeta
 from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
@@ -146,7 +146,7 @@ def test_derived_traces_match_the_paired_sweep():
     # half tables sit within 1e-13 of max(1, |C_r|) of the paired sweep
     # (read at most 6.1e-15, on the rotation)
     for loc in derived_trace_tables():
-        assert any(w is not None for w in zeta._derived_weights(loc, 1)), loc.label
+        assert any(pairs is not None for pairs in zeta._derived_halves(loc)), loc.label
         for n in range(1, 11):
             got = power_trace_coefficients(loc, n, 30)
             want = zeta._swept_coefficients(loc, n, 30)
@@ -167,7 +167,7 @@ def test_derived_halves_never_sweep(monkeypatch):
     # where both halves derive, the traces take O(n r_max), with no sweep
     # and no eigensolve: equal half tables need tr M^r, not its eigenvalues
     both = [loc for loc in derived_trace_tables()
-            if all(w is not None for w in zeta._derived_weights(loc, 1))]
+            if None not in zeta._derived_halves(loc)]
     assert len(both) == 10 + 4 + 4 + 1  # CA rules, DK at q = 1, rotations, equal halves
 
     def refused(*args, **kwargs):
@@ -216,7 +216,7 @@ def test_block_route_complex_stochastic():
     rng = np.random.default_rng(11)
     for _ in range(8):
         loc = random_local_operator("complex-stochastic", rng)
-        assert zeta._derived_weights(loc, 1) == [None, None]
+        assert zeta._derived_halves(loc) == [None, None]
         for n in range(1, 9):
             got = power_trace_coefficients(loc, n, 12)
             want = zeta._swept_coefficients(loc, n, 12)
@@ -270,37 +270,71 @@ def test_certified_tables_never_sweep(rng, monkeypatch):
 
 
 def test_block_route_falls_back_beyond_the_budget(monkeypatch):
-    # where the block route's bytes exceed the byte budget the traces come
-    # from the paired sweep, so nothing admitted is refused
+    # where the block route's peak exceeds the byte budget, `_half_traces`
+    # gives no traces and the call takes the paired sweep, so nothing
+    # admitted is refused.  At n = 6 and r_max = 5 the route holds 16
+    # blocks of 16 x 16 float64 and the traces, 33728 bytes
     loc = dk_local_operator(DKParams(0.5, 0.75))
-    assert zeta._block_route_bytes(loc, 14, 30) <= operators._BYTE_BUDGET
-    assert zeta._block_route_bytes(loc, 14, 10 ** 4) > operators._BYTE_BUDGET
     want = power_trace_coefficients(loc, 6, 5)
-    monkeypatch.setattr(zeta, "_BYTE_BUDGET", zeta._block_route_bytes(loc, 6, 5) - 1)
-    monkeypatch.setattr(zeta, "_half_traces", None)  # would raise if called
+    sweeps, swept = zeta._trace_sweeps, []
+
+    def recorded(*args, **kwargs):
+        swept.append(args[1])
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
+    monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33728)
+    assert zeta._half_traces(loc, 6, 5, 1) is not None
+    power_trace_coefficients(loc, 6, 5)
+    assert swept == []
+    monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33727)
+    assert zeta._half_traces(loc, 6, 5, 1) is None
     got = power_trace_coefficients(loc, 6, 5)
+    assert swept == [6]
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
-def test_blocks_beyond_the_eigensolver_cap_take_the_paired_sweep(monkeypatch):
-    # from n = 13 the largest certified block, of dimension 2^(n-2), is
-    # wider than the eigensolver cap; its dense products would take longer
-    # and hold far more than the paired sweep, so the traces take the sweep
-    loc = dk_local_operator(DKParams(0.5, 0.75))
+def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
+    # n = 12 is the last size whose largest certified block, of dimension
+    # 2^(n-2), fits the eigensolver cap; from n = 13 its dense products
+    # would take longer and hold far more than the paired sweep.  Each
+    # family's route at both sizes, with tr Q against the closed form
     assert 1 << (12 - 2) == EIG_DIM_CAP
-    half_traces, calls = zeta._half_traces, []
+    rng = np.random.default_rng(23)
+    deriving_ca = [loc for loc in ca_rules() if None not in zeta._derived_halves(loc)]
+    assert len(deriving_ca) == 10
+    routes = [  # the route at n = 12, at n = 13, and the tables that take them
+        ("blocks", "sweep", [dk_local_operator(DKParams(0.5, 0.75)),
+                             dk_local_operator(DKParams.bond_percolation(0.6447)),
+                             random_local_operator("pca", rng),
+                             random_local_operator("complex-stochastic", rng)]),
+        ("derived", "derived",
+         [dk_local_operator(DKParams(0.5, 1.0)), qca_rotation_local(0.7), *deriving_ca]),
+        ("sweep", "sweep",
+         [random_local_operator("general", rng), random_local_operator("qca", rng)]),
+    ]
+    half_traces, sweeps, taken = zeta._half_traces, zeta._trace_sweeps, []
 
-    def recorded(*args):
-        calls.append(args[1])
-        return half_traces(*args)
+    def blocks(*args):
+        t = half_traces(*args)
+        if t is not None:
+            taken.append("blocks")
+        return t
 
-    monkeypatch.setattr(zeta, "_half_traces", recorded)
-    power_trace_coefficients(loc, 12, 1)
-    assert calls == [12]
-    monkeypatch.setattr(zeta, "_half_traces", None)  # would raise if called
-    got = power_trace_coefficients(loc, 13, 1)[0] * (1 << 13)
-    want = trace_closed_form(loc, 13)
-    assert abs(got - want) <= 1e-13 * abs(want)
+    def swept(*args, **kwargs):
+        taken.append("sweep")
+        return sweeps(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "_half_traces", blocks)
+    monkeypatch.setattr(zeta, "_trace_sweeps", swept)
+    for at_12, at_13, tables in routes:
+        for loc in tables:
+            for n, route in ((12, at_12), (13, at_13)):
+                taken.clear()
+                got = power_trace_coefficients(loc, n, 1)[0] * (1 << n)
+                assert (set(taken) or {"derived"}) == {route}, (loc.label, n)
+                want = trace_closed_form(loc, n)
+                assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (loc.label, n)
 
 
 def test_both_routes_match_exact_dk_traces():
@@ -420,6 +454,39 @@ def test_t_case_log_zeta_frozen_values():
              + 0.25 * math.log(1 - 0.09 * 0.5))
     assert t_case_log_zeta(0.3, 3, 0.5) == pytest.approx(want, abs=1e-14)
     assert t_case_log_zeta(0.3, 3, 0.0) == 0.0
+
+
+def shift_t_log_zeta(t, n_sites, u):
+    """sum_k w_k (-log1p(-t^k u)) in Python floats, w_k = C(n-1, k) / 2^(n-1)
+    divided exactly in integers."""
+    total = 1 << (n_sites - 1)
+    return math.fsum(math.comb(n_sites - 1, k) / total * -math.log1p(-t ** k * u)
+                     for k in range(n_sites))
+
+
+def test_log_det_keeps_factors_below_half_an_ulp():
+    # a factor 1 - lambda u within eps/2 of 1 rounds to 1, and its plain
+    # log to 0: at n = 1000 every term of the shift-t form is such a factor
+    # (u ((1 + t)/2)^(n-1) = 1.26e-188), which a plain log read as 1.6e-261.
+    # From n = 1025 the binomial weights pass float range, and stay finite
+    for n in (62, 63, 1000, 1025, 2000):
+        want = shift_t_log_zeta(0.3, n, 0.1)
+        got = t_case_log_zeta(0.3, n, 0.1)
+        assert abs(got - want) <= 1e-13 * abs(want), (n, got, want)
+    assert shift_t_log_zeta(0.3, 1000, 0.1) == pytest.approx(1.26e-188, rel=1e-2)
+    # complex factors too, where np.log1p would round 1 + z first, with no
+    # warning on a subnormal imaginary part
+    for z in (1e-20 + 1e-30j, 1e-17, 1e-10 + 1e-10j, 1e-15j, 1e-16 + 5e-324j):
+        want = z + z * z / 2 + z ** 3 / 3
+        assert abs(zeta._log_det(np.array([z]), 1.0, 1.0) - want) <= 1e-15 * abs(want), z
+
+
+def test_t_case_spectrum_refused_past_int64():
+    # its multiplicities sum to 2^n, past int64 from n = 63
+    assert t_case_spectrum(0.3, 62).total == 1 << 62
+    for n in (63, 70, 2000):
+        with pytest.raises(SizeCapExceeded, match="int64 multiplicity limit"):
+            t_case_spectrum(0.3, n)
 
 
 def test_series_at_zero_and_det_at_zero():
