@@ -18,7 +18,6 @@ closed too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 from typing import ClassVar
 
@@ -296,12 +295,11 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def _certified_blocks(local: LocalOperator, c: int):
+def _certified_blocks(local: LocalOperator, c: int, n_sites: int):
     """The blocks C_m = B_c(m) (D_m)_c of the last-site half c for
-    m = 1, 2, ..., each yielded as (C_m, B_c(m+1)) once level m passes
-    half c's `block_certificate` within 1e-12; at the first level that
-    fails, (None, B_c(m+1)), and nothing more.  Callers stop it at the
-    level they need.
+    m = 1..n-1, each yielded once level m passes half c's
+    `block_certificate` within 1e-12; at the first level that fails, None,
+    and nothing more.
 
     B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
     site a level, in the dtype of `_sweep_table`: a real table grows in
@@ -313,43 +311,31 @@ def _certified_blocks(local: LocalOperator, c: int):
     """
     table = _sweep_table(local.matrix)
     shifts = _sweep_table(np.array(shift_coefficients(local)))
-    b = np.ones((1, 1), dtype=table.dtype)
-    grown = table[c::2, c::2]
-    while True:
+    b, grown = None, np.ones((1, 1), dtype=table.dtype)
+    for m in range(1, n_sites):
+        b, grown = grown, table[c::2, c::2] if m == 1 else _recursion_step(local, grown)
         d = np.repeat(shifts, len(b))[c::2]
         if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
-            yield None, grown
+            yield None
             return
-        yield b * d, grown
-        b, grown = grown, _recursion_step(local, grown)
+        yield b * d
 
 
-def _half_eigvals(local: LocalOperator, n_sites: int, c: int, first: int) -> list:
-    """Eigenvalues of the last-site halves B_c(m) = Q_m[c::2, c::2] for
-    m = first..n_sites, from one run of `_certified_blocks`.
+def _half_eigvals(local: LocalOperator, n_sites: int, c: int) -> list | None:
+    """b_c(m) = Spec B_c(m) of the last-site half c for m = 1..n_sites,
+    from one run of `_certified_blocks`; None where a level below n fails
+    its certificate.
 
     While levels 1..m-1 pass, Spec B_c(m) is {1} united with the spectra
     of the blocks below level m, each block solved once, so one run gives
-    every such B_c(m) as a prefix of its blocks.  At the first level that
-    fails, the cap on 2^(n-1) is checked and each larger B_c(m) from
-    `first` on is grown and solved whole.
+    every b_c(m) as a prefix of its blocks.
     """
-    blocks, grown = [np.ones(1)], None
-    for block, grown in islice(_certified_blocks(local, c), n_sites - 1):
+    blocks = [np.ones(1)]
+    for block in _certified_blocks(local, c, n_sites):
         if block is None:
-            break
+            return None
         blocks.append(_eigvals_checked(block))
-    m = len(blocks)  # levels up to m are proven by their blocks
-    out = [np.concatenate(blocks[:k]) for k in range(first, m + 1)]
-    if m < n_sites:
-        _check_eig_dim(n_sites - 1)
-        b = grown
-        for k in range(m + 1, n_sites + 1):
-            if k > m + 1:
-                b = _recursion_step(local, b)
-            if k >= first:
-                out.append(_eigvals_checked(b))
-    return out
+    return [np.concatenate(blocks[:m]) for m in range(1, n_sites + 1)]
 
 
 def _derived_halves(local: LocalOperator) -> list:
@@ -362,11 +348,10 @@ def _derived_halves(local: LocalOperator) -> list:
     Inside B_c, site m-2 moves by the half table M_c = a[c::2, c::2], so
     B_c(m)[k::2, i::2] = (M_c)_ki B_i(m-1).  If M_0 and M_1 are exactly
     equal, B_0 = B_1 and B_c(m) = B_0(m-1) (x) M_0: both halves share the
-    one pair (M_0, 0), so its spectrum is solved once.  Else, where M_c has
-    an exact zero off its diagonal, B_c(m) is block triangular over site
-    m-2: the 1 x 1 pairs ((M_c)_00, 0) and ((M_c)_11, 1).  Both hold with
-    algebraic multiplicities and are decided by exact tests, with no
-    tolerance.
+    one pair (M_0, 0).  Else, where M_c has an exact zero off its diagonal,
+    B_c(m) is block triangular over site m-2: the 1 x 1 pairs ((M_c)_00, 0)
+    and ((M_c)_11, 1).  Both hold with algebraic multiplicities and are
+    decided by exact tests, with no tolerance.
     """
     table = _sweep_table(local.matrix)
     halves = [table[c::2, c::2] for c in (0, 1)]
@@ -382,28 +367,37 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
 
     One recursion over the half c and the level m: b_c(m) = Spec B_c(m)
     starts at b_c(1) = {1}; a half that `_derived_halves` allows is the
-    union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) taken once
-    from `_eigvals_checked` (a 1 x 1 D with no solve), and any other comes
-    from one run of `_half_eigvals`, at every level when the other half is
-    derived from it, else at level n alone.  Returned as complex128.  One
-    dense operator of Q_n and the eigensolver cap on 2^(n-2) are checked
-    before anything is built, the cap on 2^(n-1) where a level fails.
+    union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) from
+    `_eigvals_checked` (a 1 x 1 D with no solve), and any other reads every
+    level from one run of `_half_eigvals`.  Where some half neither derives
+    nor certifies, each certified half keeps its level n and every other
+    half B_c(n) is grown from its table half and solved whole, so a derived
+    half splits on its exact zero cross blocks as a dense solve of Q_n
+    splits it.  Returned as complex128.  One dense operator of Q_n and the
+    eigensolver cap on 2^(n-2) are checked before anything is built, the
+    cap on 2^(n-1) before any half is grown whole.
     """
     _check_budget(n_sites, operators=1)
     _check_eig_dim(n_sites - 2)
     derived = _derived_halves(local)
-    # equal half tables share their one D, solved once
-    spectra = {id(d): d for pairs in derived if pairs for d, _ in pairs}
-    spectra = {key: _eigvals_checked(d) for key, d in spectra.items()}
-    solved = [None if pairs else
-              _half_eigvals(local, n_sites, c, 1 if derived[1 - c] else n_sites)
+    solved = [None if pairs else _half_eigvals(local, n_sites, c)
               for c, pairs in enumerate(derived)]
-    if not any(derived):
-        return np.concatenate([levels[-1] for levels in solved]).astype(complex)
+    if any(pairs is None and levels is None for pairs, levels in zip(derived, solved)):
+        _check_eig_dim(n_sites - 1)
+        halves = []
+        for c, levels in enumerate(solved):
+            if levels is None:
+                b = _sweep_table(local.matrix)[c::2, c::2]
+                for _ in range(n_sites - 2):
+                    b = _recursion_step(local, b)
+                levels = [_eigvals_checked(b)]
+            halves.append(levels[-1])
+        return np.concatenate(halves).astype(complex)
+    spectra = [pairs and [(_eigvals_checked(d), i) for d, i in pairs] for pairs in derived]
     b = [np.ones(1), np.ones(1)]
-    for m in range(2, n_sites + 1):
-        b = [np.concatenate([np.multiply.outer(spectra[id(d)], b[i]).ravel() for d, i in pairs])
-             if pairs else solved[c][m - 1] for c, pairs in enumerate(derived)]
+    for m in range(1, n_sites):
+        b = [np.concatenate([np.multiply.outer(w, b[i]).ravel() for w, i in pairs])
+             if pairs else solved[c][m] for c, pairs in enumerate(spectra)]
     return np.concatenate(b).astype(complex)
 
 
@@ -414,17 +408,19 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     Q_n[c::2, c::2].  A half whose table M_c has an exact zero off its
     diagonal, or both when M_0 == M_1 exactly, is derived level by level as
     the union of Spec(D) b_i(m-1) over the (D, i) pairs of
-    `_derived_halves`, with no eigensolve beyond one 2 x 2 solve of equal
-    half tables.  In any other half the paper's spectral recursion holds on
-    its own: Spec B_c(n) = {1} united with Spec B_c(m) (D_m)_c for m < n,
-    D_m the two column-block shifts over the halves of Q_m, wherever every
-    level passes that half's block certificate.  Such a half is grown and
-    certified alone and solved by its blocks, of dimension up to 2^(n-2),
-    or whole, of dimension 2^(n-1), from its first level that fails (see
-    `_half_eigvals`); Q_n itself is never formed.  Sizes are checked as in
-    `_spectrum_eigvals`.  One half is grown at a time: B_c(n-1) and B_c(n),
-    five sixteenths (half that for a real table, grown in float64), beside
-    a block's eigensolve or the certificate's buffers; or one B_c(n) beside
+    `_derived_halves`, with no eigensolve beyond a 2 x 2 solve of equal
+    half tables, one for each half.  In any other half the paper's spectral
+    recursion holds on its own: Spec B_c(n) = {1} united with Spec B_c(m)
+    (D_m)_c for m < n, D_m the two column-block shifts over the halves of
+    Q_m, wherever every level passes that half's block certificate.  Such a
+    half is grown and certified alone and solved by its blocks, of
+    dimension up to 2^(n-2) (see `_half_eigvals`).  A half that neither
+    derives nor certifies is grown and solved whole at level n, of
+    dimension 2^(n-1), and so is a derived half beside it, with the result
+    of a solve of Q_n (see `_spectrum_eigvals`); Q_n itself is never
+    formed.  One half is grown at a time: B_c(n-1) and B_c(n), five
+    sixteenths (half that for a real table, grown in float64), beside a
+    block's eigensolve or the certificate's buffers; or one B_c(n) beside
     its eigensolve.  Each solve is checked as in `eig_dense`, and the union
     of both halves is clustered once.
     """

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .errors import ParamOutOfRange, SingularFactor
+from .errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
 from .operators import (
     _BYTE_BUDGET,
     LocalOperator,
@@ -148,7 +147,7 @@ def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.n
         return None
     spare = np.empty(steps * dim * dim, dtype=table.dtype)
     t = np.ones((n_sites, r_max), dtype=complex)
-    for m, (block, _) in enumerate(islice(_certified_blocks(local, c), n_sites - 1), 1):
+    for m, block in enumerate(_certified_blocks(local, c, n_sites), 1):
         if block is None:
             return None
         t[m] = t[m - 1] + _block_traces(block, r_max, spare)
@@ -362,10 +361,16 @@ def t_case_c_r(t: complex, n_sites: int, r: int) -> complex:
 def t_case_log_zeta(t: complex, n_sites: int, u: complex) -> complex:
     """log zeta on the shift-t family: a binomial average of -log(1 - t^k u),
     on the branch of `zeta_det` (continuation of the series along [0, u]),
-    with weights C(n-1, k) / 2^(n-1) divided exactly in integers: finite at
-    every n, in O(n^2) bit operations.  A u that is not finite is refused
-    with ParamOutOfRange."""
+    with weights C(n-1, k) / 2^(n-1) divided exactly in integers: finite
+    past float range, in O(n^2) bit operations.  Refused with
+    SizeCapExceeded before the row where (n-1)^2 exceeds EIG_DIM_CAP^3, the
+    work of the largest dense eigensolve admitted (from n = 32770), and
+    with ParamOutOfRange at a u that is not finite."""
     _check_budget(n_sites)
+    largest = math.isqrt(EIG_DIM_CAP ** 3) + 1
+    if n_sites > largest:
+        raise SizeCapExceeded("n=%d: exact binomial weights take (n-1)^2 bit operations, beyond "
+                              "the cap EIG_DIM_CAP^3 (n <= %d)" % (n_sites, largest))
     u = _finite_u(u)
     total, binomial, weights = 1 << (n_sites - 1), 1, []
     for k in range(n_sites):

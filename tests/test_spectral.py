@@ -7,7 +7,7 @@ import pytest
 from ipszeta.claims import verify_claim
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
-from ipszeta import spectral
+from ipszeta import spectral, zeta
 from ipszeta.errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from ipszeta.operators import (
     _recursion_step,
@@ -564,6 +564,17 @@ def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
     sums = mixed.column_sums()
     assert np.array_equal(sums[0::2], [1, 1]) and np.abs(sums[1::2] - 1).min() > 0.05
     cases += [(mixed, 4), (mixed, 6)]
+    # DK at p = 0.3, whose halvings are not exact: its derived half 0 reads
+    # the failing half 1, so both are solved whole at level n, as the dense
+    # solve of Q_n splits them
+    scaled = dk_local_operator(DKParams(0.3, 0.75)).matrix.copy()
+    scaled[:, 1::2] *= 0.9
+    scaled = make_local_operator(scaled, "dk-half-1-scaled")
+    for n in (4, 6, 9):
+        dense = build_global_recursive(scaled, n).dense
+        assert np.array_equal(spectral._spectrum_eigvals(scaled, n),
+                              spectral._eigvals_checked(dense)), n
+        cases.append((scaled, n))
     for loc, n in cases:
         got = spectrum(loc, n)
         want = eig_dense(build_global_recursive(loc, n).dense)
@@ -615,7 +626,8 @@ def full_real_table():
 
 def test_spectrum_cli_qca_n11_fits_cap(tmp_path, eig_shapes):
     # the rotation's two half tables are equal, so its spectrum is derived
-    # from one 2 x 2 solve, and n = 12 passes the up-front checks too
+    # from one 2 x 2 solve of the half table for each half, and n = 12
+    # passes the up-front checks too
     for n in (11, 12):
         out = tmp_path / "s.csv"
         assert main(["spectrum", "--model", "qca", "--xi", "0.7", "--n", str(n),
@@ -623,7 +635,7 @@ def test_spectrum_cli_qca_n11_fits_cap(tmp_path, eig_shapes):
         rows = [l.split(",") for l in out.read_text().strip().split("\n")
                 if not l.startswith("#")][1:]
         assert sum(int(m) for _, _, m in rows) == 1 << n
-    assert eig_shapes == [(2, 2)] * 2
+    assert eig_shapes == [(2, 2)] * 4
     # a table without unit column sums and with full, unequal half tables
     # solves the two halves of Q_11, each 1024 wide, so the cap admits it
     eig_shapes.clear()
@@ -786,7 +798,7 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
     for loc in tables:
         for c in (0, 1):
             want = complex_grown_blocks(loc, c, 7)
-            for block, ref in zip((b for b, _ in spectral._certified_blocks(loc, c)), want):
+            for block, ref in zip(spectral._certified_blocks(loc, c, 8), want):
                 if block is None:
                     break
                 assert block.dtype == np.float64 and not ref.imag.any()
@@ -795,3 +807,27 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
                 assert np.array_equal(got, ref_eigs) and got.dtype == ref_eigs.dtype
                 solved += 1
     assert solved >= 100
+
+
+def test_half_eigvals_share_the_half_traces_contract(rng):
+    # a half that does not derive reads b_c(1..n) from its certified blocks
+    # exactly where it reads its traces from them, and gets None from both
+    # where a level fails; its blocks stop by themselves at C_(n-1)
+    tables = [dk_local_operator(DKParams(p, q)) for p in (0.1, 0.5, 0.9, 1.0)
+              for q in (0.0, 0.3, 0.75)]
+    tables += [random_local_operator(fam, rng)
+               for fam in ("pca", "complex-stochastic", "general", "qca")]
+    tables += [large_stochastic(), half_unit_sums()]
+    outcomes = set()
+    for loc in tables:
+        for c, pairs in enumerate(spectral._derived_halves(loc)):
+            if pairs is not None:
+                continue
+            for n in (4, 7):
+                levels = spectral._half_eigvals(loc, n, c)
+                assert (levels is None) == (zeta._half_traces(loc, n, 3, c) is None), \
+                    (loc.label, n, c)
+                assert levels is None or [len(b) for b in levels] == [1 << m for m in range(n)]
+                assert len(list(spectral._certified_blocks(loc, c, n))) <= n - 1
+                outcomes.add(levels is None)
+    assert outcomes == {False, True}

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -479,6 +480,19 @@ def test_log_det_keeps_factors_below_half_an_ulp():
     for z in (1e-20 + 1e-30j, 1e-17, 1e-10 + 1e-10j, 1e-15j, 1e-16 + 5e-324j):
         want = z + z * z / 2 + z ** 3 / 3
         assert abs(zeta._log_det(np.array([z]), 1.0, 1.0) - want) <= 1e-15 * abs(want), z
+
+
+def test_t_case_log_zeta_refuses_past_its_row_cap():
+    # the exact binomial row costs (n-1)^2 bit operations (0.87 s at
+    # n = 60000): from n = 32770 on a call is refused in one line before the
+    # row, instead of running for minutes at n = 10^6
+    for n in (32770, 10 ** 6, 10 ** 9):
+        for t in (0.3, 0.999):
+            start = time.perf_counter()
+            with pytest.raises(SizeCapExceeded, match="cap") as refused:
+                t_case_log_zeta(t, n, 0.1)
+            assert time.perf_counter() - start < 1.0, (n, t)
+            assert "\n" not in str(refused.value)
 
 
 def test_t_case_spectrum_refused_past_int64():
