@@ -295,47 +295,31 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def _certified_blocks(local: LocalOperator, c: int, n_sites: int):
+def _certified_blocks(local: LocalOperator, c: int, n_sites: int) -> list | None:
     """The blocks C_m = B_c(m) (D_m)_c of the last-site half c for
-    m = 1..n-1, each yielded once level m passes half c's
-    `block_certificate` within 1e-12; at the first level that fails, None,
-    and nothing more.
+    m = 1..n-1, or None where some level m fails half c's
+    `block_certificate` within 1e-12; the route both `_spectrum_eigvals`
+    and `zeta._power_traces` read a half by.
 
     B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
     site a level, in the dtype of `_sweep_table`: a real table grows in
     float64.  While levels 1..m-1 pass, the paper's spectral recursion
     holds within half c: Spec B_c(m) = {1} united with Spec C_j for j < m,
-    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  A level holds B_c(m),
-    B_c(m+1) and the certificate's three quadrants of B_c(m+1), with their
-    absolute values.
+    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  In blocks of the largest
+    dimension 2^(n-2), the growth holds B_c(n-1) and B_c(n) (5) and the
+    certificate's sums, differences and their absolute values (5) beside
+    the blocks kept (under 4/3); it ends before the list is returned.
     """
     table = _sweep_table(local.matrix)
     shifts = _sweep_table(np.array(shift_coefficients(local)))
-    b, grown = None, np.ones((1, 1), dtype=table.dtype)
+    blocks, grown = [], np.ones((1, 1), dtype=table.dtype)
     for m in range(1, n_sites):
         b, grown = grown, table[c::2, c::2] if m == 1 else _recursion_step(local, grown)
         d = np.repeat(shifts, len(b))[c::2]
         if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
-            yield None
-            return
-        yield b * d
-
-
-def _half_eigvals(local: LocalOperator, n_sites: int, c: int) -> list | None:
-    """b_c(m) = Spec B_c(m) of the last-site half c for m = 1..n_sites,
-    from one run of `_certified_blocks`; None where a level below n fails
-    its certificate.
-
-    While levels 1..m-1 pass, Spec B_c(m) is {1} united with the spectra
-    of the blocks below level m, each block solved once, so one run gives
-    every b_c(m) as a prefix of its blocks.
-    """
-    blocks = [np.ones(1)]
-    for block in _certified_blocks(local, c, n_sites):
-        if block is None:
             return None
-        blocks.append(_eigvals_checked(block))
-    return [np.concatenate(blocks[:m]) for m in range(1, n_sites + 1)]
+        blocks.append(b * d)
+    return blocks
 
 
 def _derived_halves(local: LocalOperator) -> list:
@@ -368,20 +352,22 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     One recursion over the half c and the level m: b_c(m) = Spec B_c(m)
     starts at b_c(1) = {1}; a half that `_derived_halves` allows is the
     union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) from
-    `_eigvals_checked` (a 1 x 1 D with no solve), and any other reads every
-    level from one run of `_half_eigvals`.  Where some half neither derives
-    nor certifies, each certified half keeps its level n and every other
-    half B_c(n) is grown from its table half and solved whole, so a derived
-    half splits on its exact zero cross blocks as a dense solve of Q_n
-    splits it.  Returned as complex128.  One dense operator of Q_n and the
+    `_eigvals_checked` (a 1 x 1 D with no solve), and any other is {1}
+    united with the spectra of its blocks below level m, each block that
+    `_certified_blocks` returns solved once.  Where some half neither
+    derives nor certifies, each certified half keeps its level n and every
+    other half B_c(n) is grown from its table half and solved whole, so a
+    derived half splits on its exact zero cross blocks as a dense solve of
+    Q_n splits it.  Returned as complex128.  One dense operator of Q_n and the
     eigensolver cap on 2^(n-2) are checked before anything is built, the
     cap on 2^(n-1) before any half is grown whole.
     """
     _check_budget(n_sites, operators=1)
     _check_eig_dim(n_sites - 2)
     derived = _derived_halves(local)
-    solved = [None if pairs else _half_eigvals(local, n_sites, c)
+    solved = [None if pairs else _certified_blocks(local, c, n_sites)
               for c, pairs in enumerate(derived)]
+    solved = [blocks and [np.ones(1), *map(_eigvals_checked, blocks)] for blocks in solved]
     if any(pairs is None and levels is None for pairs, levels in zip(derived, solved)):
         _check_eig_dim(n_sites - 1)
         halves = []
@@ -391,13 +377,13 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
                 for _ in range(n_sites - 2):
                     b = _recursion_step(local, b)
                 levels = [_eigvals_checked(b)]
-            halves.append(levels[-1])
+            halves.append(np.concatenate(levels))
         return np.concatenate(halves).astype(complex)
     spectra = [pairs and [(_eigvals_checked(d), i) for d, i in pairs] for pairs in derived]
     b = [np.ones(1), np.ones(1)]
     for m in range(1, n_sites):
         b = [np.concatenate([np.multiply.outer(w, b[i]).ravel() for w, i in pairs])
-             if pairs else solved[c][m] for c, pairs in enumerate(spectra)]
+             if pairs else np.concatenate(solved[c][:m + 1]) for c, pairs in enumerate(spectra)]
     return np.concatenate(b).astype(complex)
 
 
@@ -414,15 +400,16 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     (D_m)_c for m < n, D_m the two column-block shifts over the halves of
     Q_m, wherever every level passes that half's block certificate.  Such a
     half is grown and certified alone and solved by its blocks, of
-    dimension up to 2^(n-2) (see `_half_eigvals`).  A half that neither
-    derives nor certifies is grown and solved whole at level n, of
+    dimension up to 2^(n-2) (see `_certified_blocks`).  A half that
+    neither derives nor certifies is grown and solved whole at level n, of
     dimension 2^(n-1), and so is a derived half beside it, with the result
     of a solve of Q_n (see `_spectrum_eigvals`); Q_n itself is never
     formed.  One half is grown at a time: B_c(n-1) and B_c(n), five
-    sixteenths (half that for a real table, grown in float64), beside a
-    block's eigensolve or the certificate's buffers; or one B_c(n) beside
-    its eigensolve.  Each solve is checked as in `eig_dense`, and the union
-    of both halves is clustered once.
+    sixteenths of Q_n (half that for a real table, grown in float64),
+    beside the certificate's buffers and the blocks kept, under a twelfth
+    a half; the blocks are solved after the growth, and a half grown whole
+    holds one B_c(n) beside its eigensolve.  Each solve is checked as in
+    `eig_dense`, and the union of both halves is clustered once.
     """
     return _cluster(_spectrum_eigvals(local, n_sites))
 

@@ -128,32 +128,6 @@ def _block_traces(block: np.ndarray, r_max: int, spare: np.ndarray) -> np.ndarra
     return (giants.reshape(giant_steps, -1) @ babies.reshape(k, -1).T).ravel()[:r_max]
 
 
-def _half_traces(local: LocalOperator, n_sites: int, r_max: int, c: int) -> np.ndarray | None:
-    """t_c(m) = tr B_c(m)^r for m = 1..n and r = 1..r_max as the rows of
-    an (n, r_max) array, t_c(m) = 1 + sum_(j<m) tr C_j^r over the blocks
-    of `spectral._certified_blocks`, each by `_block_traces` in one buffer
-    sized for the largest.  None where a level below n fails its
-    certificate, and before any buffer where the largest block, of
-    dimension 2^(n-2), is wider than `EIG_DIM_CAP` or the peak exceeds the
-    byte budget.  The peak, in largest blocks: B_c(n-1) and B_c(n) (5), the
-    babies and giants, the certificate's sums, differences and their
-    absolute values (5) beside a quarter block or C_(n-1) (1); and both
-    halves' (n, r_max) traces."""
-    table = _sweep_table(local.matrix)
-    steps = sum(_baby_giant(r_max))
-    dim = 1 << max(n_sites - 2, 0)
-    if (dim > EIG_DIM_CAP
-            or (11 + steps) * dim * dim * table.itemsize + 32 * n_sites * r_max > _BYTE_BUDGET):
-        return None
-    spare = np.empty(steps * dim * dim, dtype=table.dtype)
-    t = np.ones((n_sites, r_max), dtype=complex)
-    for m, block in enumerate(_certified_blocks(local, c, n_sites), 1):
-        if block is None:
-            return None
-        t[m] = t[m - 1] + _block_traces(block, r_max, spare)
-    return t
-
-
 def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """tr(Q^r) for r = 1..r_max from the last-site halves, t_0(n) + t_1(n)
     with t_c(n) = tr B_c(n)^r, by the recursion of
@@ -161,22 +135,40 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     from `spectral._derived_halves` takes t_c(m) = sum tr(D^r) t_i(m-1),
     tr(D^r) read from the powers of D by `_powers` with no solve: exact
     diagonal products for a 1 x 1 D, and for a 2 x 2 one tr M^r, sharper
-    than a sum of powers of its eigenvalues.  Any other half takes every
-    t_c(m) from its certified blocks (see `_half_traces`), about
-    2 sqrt(r_max) products a block.  A half that neither derives nor gets
-    traces sends the call to the paired sweep at level n: beyond
-    `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n, take
-    longer than the sweep, whose time grows as 4^n, and hold far more.
-    Admitted by `_admit_traces` with the r_max-long arrays of the derived
-    halves (the half tables' powers and each level's traces) at 256 bytes
-    a power."""
+    than a sum of powers of its eigenvalues.  Any other half takes t_c(m)
+    as the prefix sums 1 + sum_(j<m) tr C_j^r over the blocks that
+    `spectral._certified_blocks` returns, each by `_block_traces` in one
+    buffer sized for the largest, about 2 sqrt(r_max) products a block.
+
+    The block route's reach is checked once, before any block is grown:
+    the largest block, of dimension 2^(n-2), within `EIG_DIM_CAP`, and
+    11 + steps largest blocks (steps = k + J >= 2 of `_baby_giant`) with
+    both halves' (n, r_max) traces within the byte budget.  Beside both
+    halves' kept blocks, under 8/3, the route holds first the growth's 10
+    (see `_certified_blocks`), then the steps of the baby and giant stacks.
+    At the first half that neither derives nor gets blocks the call goes
+    to the paired sweep at level n, before the other half is grown:
+    beyond `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n,
+    take longer than the sweep, whose time grows as 4^n, and hold far
+    more.  Admitted by `_admit_traces` with the r_max-long arrays of the
+    derived halves (the half tables' powers and each level's traces) at
+    256 bytes a power."""
     _admit_traces(n_sites, r_max, 256)
     derived = _derived_halves(local)
+    dtype = _sweep_table(local.matrix).dtype
+    steps = sum(_baby_giant(r_max))
+    dim = 1 << max(n_sites - 2, 0)
+    reach = (dim <= EIG_DIM_CAP and (11 + steps) * dim * dim * dtype.itemsize
+             + 32 * n_sites * r_max <= _BYTE_BUDGET)
     solved = []
     for c, pairs in enumerate(derived):
-        solved.append(None if pairs else _half_traces(local, n_sites, r_max, c))
+        solved.append(None if pairs or not reach else _certified_blocks(local, c, n_sites))
         if pairs is None and solved[c] is None:
             return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
+    spare = np.empty(steps * dim * dim if any(solved) else 0, dtype=dtype)
+    solved = [blocks and np.cumsum([np.ones(r_max), *(_block_traces(b, r_max, spare)
+                                                     for b in blocks)], axis=0, dtype=complex)
+              for blocks in solved]
     traces = [pairs and [(np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)),
                                    axis1=1, axis2=2), i) for d, i in pairs]
               for pairs in derived]
@@ -192,7 +184,8 @@ def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> 
     derived from the (D, i) pairs of `spectral._derived_halves` by the
     O(n r_max) recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, any other
     from the traces of its certified blocks, or from the paired sweep where
-    the blocks give none (see `_power_traces`); no dense power of Q is stored.
+    it gets none or they are beyond reach (see `_power_traces`); no dense
+    power of Q is stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 

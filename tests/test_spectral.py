@@ -798,9 +798,7 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
     for loc in tables:
         for c in (0, 1):
             want = complex_grown_blocks(loc, c, 7)
-            for block, ref in zip(spectral._certified_blocks(loc, c, 8), want):
-                if block is None:
-                    break
+            for block, ref in zip(spectral._certified_blocks(loc, c, 8) or [], want):
                 assert block.dtype == np.float64 and not ref.imag.any()
                 assert np.array_equal(block, ref.real), (loc.label, c)
                 got, ref_eigs = spectral._eigvals_checked(block), spectral._eigvals_checked(ref)
@@ -809,25 +807,41 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
     assert solved >= 100
 
 
-def test_half_eigvals_share_the_half_traces_contract(rng):
-    # a half that does not derive reads b_c(1..n) from its certified blocks
-    # exactly where it reads its traces from them, and gets None from both
-    # where a level fails; its blocks stop by themselves at C_(n-1)
+def test_spectra_and_traces_take_the_same_route(rng, monkeypatch):
+    # power traces fall back to the paired sweep exactly where the spectrum
+    # solves a whole half of dimension 2^(n-1): at a half that neither
+    # derives nor certifies.  A half that does not derive gets None or its
+    # n - 1 certified blocks, C_m of dimension 2^(m-1)
     tables = [dk_local_operator(DKParams(p, q)) for p in (0.1, 0.5, 0.9, 1.0)
               for q in (0.0, 0.3, 0.75)]
     tables += [random_local_operator(fam, rng)
                for fam in ("pca", "complex-stochastic", "general", "qca")]
     tables += [large_stochastic(), half_unit_sums()]
+    sweeps, solve, swept, solved = zeta._trace_sweeps, spectral._eigvals_checked, [], []
+
+    def recorded(*args, **kwargs):
+        swept.append(args[1])
+        return sweeps(*args, **kwargs)
+
+    def checked(a):
+        solved.append(len(a))
+        return solve(a)
+
+    monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
+    monkeypatch.setattr(spectral, "_eigvals_checked", checked)
     outcomes = set()
     for loc in tables:
-        for c, pairs in enumerate(spectral._derived_halves(loc)):
-            if pairs is not None:
-                continue
-            for n in (4, 7):
-                levels = spectral._half_eigvals(loc, n, c)
-                assert (levels is None) == (zeta._half_traces(loc, n, 3, c) is None), \
-                    (loc.label, n, c)
-                assert levels is None or [len(b) for b in levels] == [1 << m for m in range(n)]
-                assert len(list(spectral._certified_blocks(loc, c, n))) <= n - 1
-                outcomes.add(levels is None)
-    assert outcomes == {False, True}
+        for n in (4, 7):
+            swept.clear()
+            solved.clear()
+            power_trace_coefficients(loc, n, 3)
+            spectral._spectrum_eigvals(loc, n)
+            assert (swept == [n]) == (1 << (n - 1) in solved), (loc.label, n)
+            assert swept in ([], [n]), (loc.label, n)
+            for c, pairs in enumerate(spectral._derived_halves(loc)):
+                if pairs is None:
+                    blocks = spectral._certified_blocks(loc, c, n)
+                    assert blocks is None or [b.shape for b in blocks] == \
+                        [(1 << m, 1 << m) for m in range(n - 1)], (loc.label, n, c)
+                    outcomes.add((bool(swept), blocks is None))
+    assert {(False, False), (True, True)} <= outcomes

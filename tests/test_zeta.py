@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -271,28 +272,56 @@ def test_certified_tables_never_sweep(rng, monkeypatch):
 
 
 def test_block_route_falls_back_beyond_the_budget(monkeypatch):
-    # where the block route's peak exceeds the byte budget, `_half_traces`
-    # gives no traces and the call takes the paired sweep, so nothing
-    # admitted is refused.  At n = 6 and r_max = 5 the route holds 16
-    # blocks of 16 x 16 float64 and the traces, 33728 bytes
+    # where the block route's charge exceeds the byte budget, no block is
+    # grown and the call takes the paired sweep, so nothing admitted is
+    # refused.  At n = 6 and r_max = 5 the route is charged 16 blocks of
+    # 16 x 16 float64 and the traces, 33728 bytes; that is its count, not
+    # what it holds
     loc = dk_local_operator(DKParams(0.5, 0.75))
     want = power_trace_coefficients(loc, 6, 5)
-    sweeps, swept = zeta._trace_sweeps, []
+    sweeps, certified, swept, grown = zeta._trace_sweeps, zeta._certified_blocks, [], []
 
     def recorded(*args, **kwargs):
         swept.append(args[1])
         return sweeps(*args, **kwargs)
 
+    def blocks(*args):
+        grown.append(args[1:])
+        return certified(*args)
+
     monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
+    monkeypatch.setattr(zeta, "_certified_blocks", blocks)
     monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33728)
-    assert zeta._half_traces(loc, 6, 5, 1) is not None
     power_trace_coefficients(loc, 6, 5)
-    assert swept == []
+    assert swept == [] and grown == [(1, 6)]
+    grown.clear()
     monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33727)
-    assert zeta._half_traces(loc, 6, 5, 1) is None
     got = power_trace_coefficients(loc, 6, 5)
-    assert swept == [6]
+    assert swept == [6] and grown == []
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_block_route_stays_within_its_reach_count(rng, monkeypatch):
+    # the block route's traced peak stays within the count its reach check
+    # charges, (11 + steps) largest blocks and both halves' traces; the
+    # allowance covers the half tables, the certificate's scalars and
+    # matmul's small scratch
+    monkeypatch.setattr(zeta, "_trace_sweeps", lambda *args, **kwargs: pytest.fail("swept"))
+    tables = [dk_local_operator(DKParams(0.5, 0.75)), random_local_operator("pca", rng),
+              random_local_operator("complex-stochastic", rng)]
+    for loc in tables:
+        itemsize = 8 if not loc.matrix.imag.any() else 16
+        for n in (9, 10, 11):
+            for r_max in (3, 30):
+                count = ((11 + sum(zeta._baby_giant(r_max))) * 4 ** (n - 2) * itemsize
+                         + 32 * n * r_max)
+                tracemalloc.start()
+                try:
+                    power_trace_coefficients(loc, n, r_max)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= count + (64 << 10), (loc.label, n, r_max, peak, count)
 
 
 def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
@@ -314,19 +343,19 @@ def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
         ("sweep", "sweep",
          [random_local_operator("general", rng), random_local_operator("qca", rng)]),
     ]
-    half_traces, sweeps, taken = zeta._half_traces, zeta._trace_sweeps, []
+    certified, sweeps, taken = zeta._certified_blocks, zeta._trace_sweeps, []
 
     def blocks(*args):
-        t = half_traces(*args)
-        if t is not None:
+        got = certified(*args)
+        if got is not None:
             taken.append("blocks")
-        return t
+        return got
 
     def swept(*args, **kwargs):
         taken.append("sweep")
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(zeta, "_half_traces", blocks)
+    monkeypatch.setattr(zeta, "_certified_blocks", blocks)
     monkeypatch.setattr(zeta, "_trace_sweeps", swept)
     for at_12, at_13, tables in routes:
         for loc in tables:
@@ -604,7 +633,7 @@ def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
     # table: no norm sweeps, the same coefficients, and 1/rho-hat within
     # the allowance 4 n eps of their exact radius 1
     asked, blocks = [], []
-    sweeps, half_traces = zeta._trace_sweeps, zeta._half_traces
+    sweeps, certified = zeta._trace_sweeps, zeta._certified_blocks
 
     def recorded(local, n_sites, r_max, with_norms):
         asked.append(with_norms)
@@ -612,10 +641,10 @@ def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
 
     def block_route(*args):
         blocks.append(args)
-        return half_traces(*args)
+        return certified(*args)
 
     monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
-    monkeypatch.setattr(zeta, "_half_traces", block_route)
+    monkeypatch.setattr(zeta, "_certified_blocks", block_route)
     for loc in nonnegative_equal_sum_tables(rng):
         for n in (2, 5, 8):
             series = zeta_log_series(loc, n, 12)
