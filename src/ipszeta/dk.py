@@ -11,14 +11,19 @@ t it consumes span + t uniforms for the candidate sites, low site first, so
 runs are reproducible for any worker count and prefixes agree across horizons.
 
 Trials run in blocks, and each block is one job for a worker process or the
-caller.  A block's occupancies form one (trials, window) array that takes one
-vectorised pair update per time step, and trials that go extinct leave the
-block after each chunk of steps (a chunk is always a run of steps).  Uniforms
-are drawn lazily, one chunk at a time, each live trial continuing its own
-stream, so the counts do not depend on the blocking and a trial that dies
-early never draws the uniforms it would not use.  Chunks grow with t (at most
-t steps from step t) as long as the block's draws fit in `_DRAW_BYTES`; the
-same budget sizes the blocks, so that one step of every trial in a block fits.
+caller.  A block's occupancies form one (trials, window) bool array that takes
+one vectorised pair update per time step, with no per-site table lookup: the
+uniforms are compared with p where exactly one parent is occupied and with q
+where both are (q = 1 needs no compare).  Trials that go extinct leave the block after each
+chunk of steps (a chunk is always a run of steps).  Uniforms are drawn lazily,
+one chunk at a time, each live trial continuing its own stream, so the counts
+do not depend on the blocking and a trial that dies early never draws the
+uniforms it would not use.  Chunks grow with t (at most t steps from step t)
+as long as the block's draws fit in `_DRAW_BYTES`; the same budget sizes the
+blocks, so that one step of every trial in a block fits.  A process is charged
+its draw buffer and, for each trial of a block, its stream (`_STREAM_BYTES`)
+and five window-long bool rows: the occupancy with the step's four
+temporaries, or with its copy as extinct trials leave.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ _Z95 = 1.959963984540054
 # Bytes of uniforms a block of Monte Carlo trials holds at once; it also sets
 # the number of trials in a block.
 _DRAW_BYTES = 1 << 19
+# Bytes charged for one trial's Generator(Philox); tracemalloc reads about
+# 610 a stream under numpy 2.4.
+_STREAM_BYTES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -133,7 +141,7 @@ def dk_step(state: LatticeState, params: DKParams, rng) -> LatticeState:
     lo, hi = state.occupied[0] - 1, state.occupied[-1]
     occ = np.zeros(hi - lo + 2, dtype=np.uint8)
     occ[np.array(state.occupied) - lo] = 1
-    keep = _pair_update(occ, rng.random(hi - lo + 1), _birth_table(params.p, params.q))
+    keep = _pair_update(_birth_table(params.p, params.q))(occ, rng.random(hi - lo + 1))
     sites = (np.nonzero(keep)[0] + lo).tolist()
     return LatticeState(tuple(int(x) for x in sites), state.time + 1)
 
@@ -172,10 +180,11 @@ def _run_block(job) -> int:
     span + t candidate sites starting at horizon - t.
     """
     table, rel, span, horizon, base_seed, lo, hi = job
+    step = _pair_update(table)
     buf = np.empty(_block_layout(span + horizon)[1])
     rngs = [_trial_stream(base_seed, trial) for trial in range(lo, hi)]
-    occ = np.zeros((len(rngs), horizon + span + 1), dtype=np.uint8)
-    occ[:, horizon + rel] = 1
+    occ = np.zeros((len(rngs), horizon + span + 1), dtype=bool)
+    occ[:, horizon + rel] = True
     t = 1
     while rngs and t <= horizon:
         # k steps from t use k*(span + t) + k(k-1)/2 uniforms a trial; take the
@@ -190,7 +199,7 @@ def _run_block(job) -> int:
         off = 0
         for s in range(t, t + k):
             w, s0 = span + s, horizon - s
-            occ[:, s0:s0 + w] = _pair_update(occ[:, s0:s0 + w + 1], draws[:, off:off + w], table)
+            occ[:, s0:s0 + w] = step(occ[:, s0:s0 + w + 1], draws[:, off:off + w])
             off += w
         t += k
         alive = occ[:, s0:s0 + w].any(axis=1)
@@ -240,7 +249,7 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     span = a[-1] - a[0] + 1
     block, size = _block_layout(span + horizon)
     processes = min(workers, -(-trials // block), os.cpu_count() or 1)
-    _charge(processes * (8 * size + block * (span + horizon + 1)),
+    _charge(processes * (8 * size + block * (_STREAM_BYTES + 5 * (span + horizon + 1))),
             "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
     table = _birth_table(params.p, params.q)
     rel = np.array([x - a[0] for x in a], dtype=np.int64)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -396,14 +398,52 @@ def apply_matrix_free(local: LocalOperator, n_sites: int, state) -> np.ndarray:
 # --- sampling and random families -------------------------------------------
 
 
-def _pair_update(occ: np.ndarray, draws: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The synchronous pair update behind every lattice update.
+def _pair_update(table):
+    """The synchronous pair update behind every lattice update, for `table`.
 
-    New site x is occupied iff draws[..., x] < table[2*occ[..., x] + occ[..., x+1]],
-    with all reads from the old 0/1 occupancy `occ`, which has one more site
-    than `draws` along the last axis.  Leading axes batch independent lattices.
+    Returns step(occ, draws): new site x is occupied iff
+    draws[..., x] < table[2*occ[..., x] + occ[..., x+1]], with all reads from
+    the old 0/1 occupancy `occ` (bool or integer), which has one more site
+    than `draws` along the last axis.  Leading axes batch independent
+    lattices.  A step returns a bool array shaped like `draws`.
+
+    No table entry is gathered per site.  Draws lie in [0, 1), so a pair
+    class whose threshold is at most 0 never fires and one at 1 or above
+    always does; each other distinct threshold t takes one compare
+    `draws < t`, kept on the sites whose pair (l, r) has threshold t.  That
+    indicator is f00 ^ (f00^f01) r ^ (f00^f10) l ^ (f00^f01^f10^f11) l r, with
+    f_lr = (table[2l + r] == t), so DK's [0, p, p, q] takes
+    (l ^ r) & (draws < p) | (l & r) & (draws < q), and the result is the
+    gathered compare's for any 4-entry table.  The thresholds and their
+    indicators are read from the table once, not at every step.
     """
-    return draws < table[2 * occ[..., :-1] + occ[..., 1:]]
+    entries = np.asarray(table).tolist()
+    rules = []
+    for t in set(entries):
+        if t > 0:  # False for NaN too, below which no draw lies
+            f00, f01, f10, f11 = (e == t for e in entries)
+            coefs = (f00 ^ f01, f00 ^ f10, f00 ^ f01 ^ f10 ^ f11)
+            rules.append((t, [i for i, c in enumerate(coefs) if c], f00))
+
+    def step(occ: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        left = occ[..., :-1].astype(bool, copy=False)
+        right = occ[..., 1:].astype(bool, copy=False)
+        terms = (right, left, left & right)
+        new = np.zeros(draws.shape, bool)
+        for t, which, flip in rules:
+            fire = True  # no term: every pair class has threshold t
+            if which:
+                fire = reduce(xor, [terms[i] for i in which])
+                if flip:
+                    fire = ~fire
+            if t < 1:
+                hit = draws < t
+                hit &= fire  # in place: the survival charge counts four temporaries
+                fire = hit
+            new |= fire
+        return new
+
+    return step
 
 
 def sample_pca_step(local: LocalOperator, bits, rng) -> tuple:
@@ -417,7 +457,7 @@ def sample_pca_step(local: LocalOperator, bits, rng) -> tuple:
     bits = np.asarray(tuple(bits), dtype=np.uint8)
     c = np.arange(4)
     ptab = local.matrix[2 + (c & 1), c].real  # P(left site becomes 1 | pair c)
-    new = _pair_update(bits, rng.random(len(bits) - 1), ptab)
+    new = _pair_update(ptab)(bits, rng.random(len(bits) - 1))
     return tuple(new.astype(int).tolist()) + (int(bits[-1]),)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,25 @@ def test_survival_golden_counts(pq, seeds, horizon, trials, base_seed, survived)
         est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
                                 base_seed=base_seed, workers=workers)
         assert est.survived == survived
+
+
+def test_survival_peak_within_its_charge(monkeypatch):
+    # a process is charged its draw buffer and, for each trial of a block, its
+    # stream and five window-long bool rows; the golden cases trace at 0.35
+    # to 0.79 of that.  The first stream imports numpy's generator modules,
+    # so a small run goes first
+    charged, charge = [], dk._charge
+    monkeypatch.setattr(dk, "_charge", lambda nbytes, what: (charged.append(nbytes),
+                                                             charge(nbytes, what)))
+    estimate_survival(DKParams(0.5, 0.5), (0,), 3, 3)
+    for pq, seeds, horizon, trials, base_seed, survived in GOLDEN_COUNTS:
+        tracemalloc.start()
+        try:
+            est = estimate_survival(DKParams(*pq), seeds, horizon, trials, base_seed=base_seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.survived == survived and peak <= charged[-1], (pq, peak, charged[-1])
 
 
 class _RecordingPool:

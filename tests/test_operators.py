@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -456,6 +457,36 @@ def test_sampler_matches_scalar_loop_reference():
             a, b = sample_pca_step(loc, a, fast), reference(loc, b, slow)
             assert a == b
         assert fast.random() == slow.random()  # same number of draws consumed
+
+
+def test_pair_update_matches_the_gathered_compare():
+    # the reference gathers each site's threshold by its pair class.  Tables
+    # over the levels {0, 0.25, 1} take every grouping of the four classes
+    # (t0 > 0, t1 != t2, repeated, q = 1 and zero thresholds), beside two with
+    # four distinct ones; draws in [0, 1) sit on each threshold, one float to
+    # either side of it, and at 0
+    def reference(occ, draws, table):
+        return draws < table[2 * occ[..., :-1] + occ[..., 1:]]
+
+    tables = [*itertools.product((0.0, 0.25, 1.0), repeat=4),
+              (0.1, 0.2, 0.3, 0.4), (0.7, 0.3, 0.9, 0.05)]
+    pairs = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    rng = np.random.default_rng(3)
+    for table in map(np.array, tables):
+        edges = {0.0} | {np.nextafter(t, t + side) for t in table for side in (-1, 0, 1)}
+        draws = np.array(sorted(d for d in edges if 0 <= d < 1))
+        step = operators._pair_update(table)
+        for dtype in (np.uint8, bool):
+            # every pair class against every draw, on batch axes (class, draw)
+            occ = np.broadcast_to(pairs[:, None], (4, len(draws), 2)).astype(dtype)
+            u = np.broadcast_to(draws[:, None], (4, len(draws), 1))
+            got = step(occ, u)
+            assert got.dtype == bool and np.array_equal(got, reference(occ, u, table)), table
+            # lattices read with overlapping pairs, batched and alone
+            occ = rng.integers(0, 2, (3, 2, 17)).astype(dtype)
+            u = rng.choice(draws, (3, 2, 16))
+            assert np.array_equal(step(occ, u), reference(occ, u, table)), table
+            assert np.array_equal(step(occ[1, 0], u[1, 0]), reference(occ[1, 0], u[1, 0], table))
 
 
 def test_qca_rotation_local_unitary():

@@ -662,13 +662,13 @@ def test_spectrum_peak_within_its_charge(rng):
     # charged one dense operator of Q_n, traced well below.  DK is solved by
     # blocks one half at a time: B_c(n-1) and B_c(n), five sixteenths,
     # beside a block's eigensolve or the certificate's buffers, traced at
-    # 0.473 operators.  A real and a GENERAL table with full half tables
+    # 0.325 operators.  A real and a GENERAL table with full half tables
     # and column sums off 1 grow and solve one half of Q_n at a time, traced
-    # at 0.628 and 0.542.  The QCA rotation's spectrum is derived from its
-    # equal half tables, traced at 0.011
+    # at 0.417 and 0.542.  The QCA rotation's spectrum is derived from its
+    # equal half tables, traced at 0.012
     n = 9
-    for loc, charge in ((dk_local_operator(DKParams(0.5, 0.75)), 0.5),
-                        (full_real_table(), 0.64),
+    for loc, charge in ((dk_local_operator(DKParams(0.5, 0.75)), 0.34),
+                        (full_real_table(), 0.43),
                         (random_local_operator("general", rng), 0.56),
                         (qca_rotation_local(0.7), 0.02)):
         tracemalloc.start()
