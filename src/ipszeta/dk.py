@@ -9,6 +9,9 @@ Monte Carlo trials are embarrassingly parallel.  Trial i draws all of its
 randomness from a counter-based Philox stream keyed by (base_seed, i): at step
 t it consumes span + t uniforms for the candidate sites, low site first, so
 runs are reproducible for any worker count and prefixes agree across horizons.
+A Philox stream's whole state is its key and its counter, so each thread (and
+so each worker process) keeps a pool of generators and re-keys them for the
+next block's trials, building new ones only where the pool is short.
 
 Trials run in blocks, and each block is one job for a worker process or the
 caller.  A block's occupancies form one (trials, window) bool array that takes
@@ -19,17 +22,19 @@ chunk of steps (a chunk is always a run of steps).  Uniforms are drawn lazily,
 one chunk at a time, each live trial continuing its own stream, so the counts
 do not depend on the blocking and a trial that dies early never draws the
 uniforms it would not use.  Chunks grow with t (at most t steps from step t)
-as long as the block's draws fit in `_DRAW_BYTES`; the same budget sizes the
-blocks, so that one step of every trial in a block fits.  A process is charged
-its draw buffer and, for each trial of a block, its stream (`_STREAM_BYTES`)
-and five window-long bool rows: the occupancy with the step's four
-temporaries, or with its copy as extinct trials leave.
+as long as the block's draws fit in `_DRAW_BYTES` (1 MiB); half of that budget
+sizes the blocks, so that two steps of every trial in a block fit.  A process
+is charged its draw buffer, numpy's buffer for a compare on strided draws, and,
+for each trial of a block, its stream (`_STREAM_BYTES`) and five window-long
+bool rows: the occupancy with the step's four temporaries, or with its copy as
+extinct trials leave.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, pairwise
@@ -42,12 +47,14 @@ from .spectral import SpectrumMultiset
 
 RNG_NAME = "philox4x64(key=(base_seed, trial_index))"
 _Z95 = 1.959963984540054
-# Bytes of uniforms a block of Monte Carlo trials holds at once; it also sets
-# the number of trials in a block.
-_DRAW_BYTES = 1 << 19
+# Bytes of uniforms a block of Monte Carlo trials holds at once; half of it
+# sets the number of trials in a block.
+_DRAW_BYTES = 1 << 20
 # Bytes charged for one trial's Generator(Philox); tracemalloc reads about
-# 610 a stream under numpy 2.4.
+# 610 a stream under numpy 2.4.  A thread pools at most
+# _DRAW_BYTES // _STREAM_BYTES of them between blocks.
 _STREAM_BYTES = 1 << 10
+_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -167,9 +174,34 @@ def _trial_stream(base_seed: int, trial: int):
     return np.random.Generator(np.random.Philox(key=np.array([base_seed, trial], np.uint64)))
 
 
+def _trial_streams(base_seed: int, lo: int, hi: int) -> list:
+    """The streams of `_trial_stream(base_seed, trial)` for trials lo..hi-1.
+
+    Philox is counter-based: its whole state is a key, a counter and a
+    buffer of unread outputs.  So a generator of this thread's pool, given
+    the trial's key (one uint64 array, as above), a zero counter and an
+    empty buffer, draws exactly the stream of a new one, whatever it drew
+    before.  New generators are built only where the pool is short, and the
+    pool keeps at most `_DRAW_BYTES // _STREAM_BYTES` of them.  The streams
+    stay in the pool: the next call in the same thread re-keys them.
+    """
+    pool = _streams.__dict__.setdefault("pool", [])
+    rngs = pool[:hi - lo]
+    key = np.array([base_seed, lo], np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": key},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for rng, trial in zip(rngs, range(lo, hi)):
+        key[1] = trial
+        rng.bit_generator.state = state
+    rngs += [_trial_stream(base_seed, trial) for trial in range(lo + len(rngs), hi)]
+    pool[len(pool):] = rngs[len(pool):_DRAW_BYTES // _STREAM_BYTES]
+    return rngs
+
+
 def _block_layout(window: int) -> tuple[int, int]:
-    """Trials per block, each stepping a full window within `_DRAW_BYTES`, and draw-buffer size."""
-    return max(1, _DRAW_BYTES // (8 * window)), max(_DRAW_BYTES // 8, window)
+    """Trials per block, two steps of each filling a full window within
+    `_DRAW_BYTES`, and draw-buffer size."""
+    return max(1, _DRAW_BYTES // (16 * window)), max(_DRAW_BYTES // 8, window)
 
 
 def _run_block(job) -> int:
@@ -182,7 +214,7 @@ def _run_block(job) -> int:
     table, rel, span, horizon, base_seed, lo, hi = job
     step = _pair_update(table)
     buf = np.empty(_block_layout(span + horizon)[1])
-    rngs = [_trial_stream(base_seed, trial) for trial in range(lo, hi)]
+    rngs = _trial_streams(base_seed, lo, hi)
     occ = np.zeros((len(rngs), horizon + span + 1), dtype=bool)
     occ[:, horizon + rel] = True
     t = 1
@@ -249,7 +281,11 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     span = a[-1] - a[0] + 1
     block, size = _block_layout(span + horizon)
     processes = min(workers, -(-trials // block), os.cpu_count() or 1)
-    _charge(processes * (8 * size + block * (_STREAM_BYTES + 5 * (span + horizon + 1))),
+    # a step reads a block's draws for the step as a strided view, which numpy
+    # compares through a buffer of up to np.getbufsize() draws; a one-trial
+    # block's draws are one contiguous run, compared unbuffered
+    draws = size + (block > 1) * np.getbufsize()
+    _charge(processes * (8 * draws + block * (_STREAM_BYTES + 5 * (span + horizon + 1))),
             "%d trial process(es) on a window of %d sites" % (processes, span + horizon))
     table = _birth_table(params.p, params.q)
     rel = np.array([x - a[0] for x in a], dtype=np.int64)

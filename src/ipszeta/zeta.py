@@ -325,7 +325,7 @@ def _log_det(values, weights, u: complex) -> complex:
     return complex(-np.sum(weights * np.where(size < np.finfo(float).eps, z, logs)))
 
 
-def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
+def zeta_det(local: LocalOperator, n_sites: int, u):
     """Zeta value from the determinant form, per-factor principal logs.
 
     The logs are summed over the unclustered eigenvalues behind
@@ -333,11 +333,17 @@ def zeta_det(local: LocalOperator, n_sites: int, u: complex) -> complex:
     skipping the clustering keeps the sum as sharp as the solves.  The
     branch is the continuation of the series along [0, u], at any |u| (see
     `_log_det`); SingularFactor is raised where some lambda u lies on
-    [1, inf), and ParamOutOfRange before any solve at a non-finite u.
+    [1, inf), and ParamOutOfRange before any solve at a non-finite u.  A
+    1-D array of u takes one solve and gives the complex array of the
+    values each u gives alone.
     """
-    u = _finite_u(u)
+    us = np.asarray(u)
+    if us.ndim > 1:
+        raise ParamOutOfRange("u must be a number or a 1-D array, got shape %r" % (us.shape,))
+    finite = [_finite_u(x) for x in us.reshape(-1)]
     w = _spectrum_eigvals(local, n_sites)
-    return complex(np.exp(_log_det(w, 1.0 / (1 << n_sites), u)))
+    values = [complex(np.exp(_log_det(w, 1.0 / (1 << n_sites), x))) for x in finite]
+    return np.array(values, dtype=complex) if us.ndim else values[0]
 
 
 # --- closed forms on the shift-t family -------------------------------------

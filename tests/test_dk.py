@@ -1,5 +1,8 @@
 import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,6 +274,43 @@ def test_trial_stream_is_the_keyed_philox():
             assert np.array_equal(got.random(count), want.random(count)), (base_seed, trial)
 
 
+def test_pooled_streams_are_the_keyed_philox(monkeypatch):
+    # a pooled generator re-keyed for (base_seed, trial) draws the words of a
+    # new Philox(key=uint64[base_seed, trial]), also after the previous trial
+    # left it inside a block of four outputs (1001 doubles) with a 32-bit
+    # half word held
+    monkeypatch.setattr(dk, "_streams", threading.local())
+    for base_seed, trial in ((0, 0), (1, 2), (12345, 999), (2 ** 64 - 1, 0), (3, 2 ** 64 - 1),
+                             (2 ** 64 - 1, 2 ** 64 - 1)):
+        for used in (False, True):
+            pooled = dk._trial_streams(7, 5, 6)[0]
+            if used:
+                pooled.random(1001)
+                pooled.integers(0, 2 ** 32, 1, dtype=np.uint32)
+            got = dk._trial_streams(base_seed, trial, trial + 1)[0]
+            want = np.random.Generator(np.random.Philox(key=np.array([base_seed, trial],
+                                                                     np.uint64)))
+            assert got is pooled
+            assert np.array_equal(got.bit_generator.random_raw(1001),
+                                  want.bit_generator.random_raw(1001)), (base_seed, trial)
+            assert np.array_equal(got.integers(0, 2 ** 32, 3, dtype=np.uint32),
+                                  want.integers(0, 2 ** 32, 3, dtype=np.uint32))
+            assert np.array_equal(got.random(7), want.random(7)), (base_seed, trial)
+
+
+def test_stream_pool_keeps_its_bound(monkeypatch):
+    # a block larger than the bound is served whole, but the pool keeps only
+    # _DRAW_BYTES // _STREAM_BYTES generators of it; a 63-site window holds
+    # 1040 trials a block
+    monkeypatch.setattr(dk, "_streams", threading.local())
+    bound = dk._DRAW_BYTES // dk._STREAM_BYTES
+    rngs = dk._trial_streams(3, 0, bound + 50)
+    assert len(rngs) == bound + 50 and len({id(rng) for rng in rngs}) == bound + 50
+    assert dk._streams.pool == rngs[:bound]
+    est = estimate_survival(DKParams(0.6, 0.9), (0, 1, 2), 60, 3000, base_seed=2)
+    assert est.survived == 1467 and len(dk._streams.pool) == bound
+
+
 # Every (base_seed, trial) Philox stream is fixed, so a rewrite that keeps the
 # draw layout reproduces them exactly for any worker count.  The two non-q=1
 # cases pin the in-step draw order (low site first); trial counts above one
@@ -293,16 +333,40 @@ def test_survival_golden_counts(pq, seeds, horizon, trials, base_seed, survived)
         assert est.survived == survived
 
 
+def test_threads_keep_their_own_stream_pools():
+    # threads stepping blocks at once, more of them than most hosts have
+    # cores and switched often, each re-key their own pool
+    def survived(case):
+        pq, seeds, horizon, trials, base_seed, _ = case
+        return estimate_survival(DKParams(*pq), seeds, horizon, trials,
+                                 base_seed=base_seed).survived
+
+    cases = GOLDEN_COUNTS * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(survived, cases, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [case[-1] for case in cases]
+
+
 def test_survival_peak_within_its_charge(monkeypatch):
-    # a process is charged its draw buffer and, for each trial of a block, its
-    # stream and five window-long bool rows; the golden cases trace at 0.35
-    # to 0.79 of that.  The first stream imports numpy's generator modules,
-    # so a small run goes first
+    # a process is charged its draw buffer, numpy's buffer for a compare on
+    # strided draws and, for each trial of a block, its stream and five
+    # window-long bool rows.  On a pool that starts empty the golden cases
+    # trace at 0.40 to 0.80 of that, and (0.9, 0.9) at T = 2000, whose 40
+    # trials fill two sparse blocks, at 0.98; on the warm pool of a second
+    # pass, which builds no stream, 0.40 to 0.98.  The first stream imports
+    # numpy's generator modules, so a small run goes first
+    monkeypatch.setattr(dk, "_streams", threading.local())
     charged, charge = [], dk._charge
     monkeypatch.setattr(dk, "_charge", lambda nbytes, what: (charged.append(nbytes),
                                                              charge(nbytes, what)))
     estimate_survival(DKParams(0.5, 0.5), (0,), 3, 3)
-    for pq, seeds, horizon, trials, base_seed, survived in GOLDEN_COUNTS:
+    cases = GOLDEN_COUNTS + [((0.9, 0.9), (0,), 2000, 40, 0, 40)]
+    for pq, seeds, horizon, trials, base_seed, survived in cases * 2:
         tracemalloc.start()
         try:
             est = estimate_survival(DKParams(*pq), seeds, horizon, trials, base_seed=base_seed)

@@ -718,6 +718,30 @@ def test_zeta_det_refuses_a_factor_on_the_cut():
         zeta_det(dk_local_operator(DKParams(0.5, 0.75)), 4, 3.0)
 
 
+def test_zeta_det_at_many_u_takes_one_solve(rng, monkeypatch):
+    # a 1-D array (or list) of u takes one solve and gives, entry for entry,
+    # the complex that each u gives alone, bit for bit; a non-finite entry
+    # is refused before the solve, and so is an array of more dimensions
+    solves, solve = [], zeta._spectrum_eigvals
+    monkeypatch.setattr(zeta, "_spectrum_eigvals",
+                        lambda *args: (solves.append(args), solve(*args))[1])
+    us = np.array([0.3, -0.25 + 0.2j, 0.1j, 1.5 + 0.3j, 0.0])
+    for loc, n in ((dk_local_operator(DKParams(0.5, 0.75)), 5),
+                   (random_local_operator("general", rng), 4)):
+        alone = [zeta_det(loc, n, u) for u in us]
+        assert all(type(value) is complex for value in alone)
+        for many in (us, us.tolist()):
+            solves.clear()
+            got = zeta_det(loc, n, many)
+            assert len(solves) == 1 and got.dtype == complex and got.shape == us.shape
+            assert got.tolist() == alone, loc.label
+    solves.clear()
+    for refused in ([0.1, math.nan], np.array([[0.1, 0.2]])):
+        with pytest.raises(ParamOutOfRange):
+            zeta_det(loc, n, refused)
+    assert not solves
+
+
 def test_qca_rotation_coefficients_and_report():
     rep = verify_claim("qca-rotation", [qca_rotation_local(0.7)], 5, tol=1e-9, r_max=25)
     assert rep.passed
