@@ -157,9 +157,11 @@ def dk_step(state: LatticeState, params: DKParams, rng) -> LatticeState:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
-    if trials < 1:
-        raise ParamOutOfRange("need at least one trial")
+    """95% Wilson score interval for a binomial proportion; refuses fewer
+    than one trial, or successes outside [0, trials]."""
+    if not 0 <= successes <= trials or trials < 1:
+        raise ParamOutOfRange("need 0 <= successes <= trials and at least one trial, got "
+                              "%r of %r" % (successes, trials))
     phat, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denom

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import NoConvergence, ParamOutOfRange, SizeCapExceeded
 from .operators import (
+    _BYTE_BUDGET,
     LocalOperator,
     _charge,
     _check_budget,
@@ -248,14 +249,15 @@ def eig_dense(matrix: np.ndarray) -> SpectrumMultiset:
     operator splits into its last-site halves, and a half whose table has a
     zero off its diagonal splits again.  Clusters repeated eigenvalues within
     1e-6 * max(1, rho), conjugation-safely (see
-    `SpectrumMultiset.from_eigenvalues`).  Raises SizeCapExceeded above
-    dimension EIG_DIM_CAP = 1024 and NoConvergence if the solver fails or
-    one of the 8 largest-modulus eigenpairs of a solved block misses the
-    residual bound 1e-8 * ||block||_F.
+    `SpectrumMultiset.from_eigenvalues`).  Raises ValueError unless the
+    matrix is square and non-empty, SizeCapExceeded above dimension
+    EIG_DIM_CAP = 1024 and NoConvergence if the solver fails or one of the
+    8 largest-modulus eigenpairs of a solved block misses the residual
+    bound 1e-8 * ||block||_F.
     """
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix, got shape %r" % (a.shape,))
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ValueError("expected a non-empty square matrix, got shape %r" % (a.shape,))
     if a.shape[0] > EIG_DIM_CAP:
         raise SizeCapExceeded("dimension %d exceeds eigensolver cap %d" % (a.shape[0], EIG_DIM_CAP))
     return _cluster(_eigvals_checked(a))
@@ -295,33 +297,6 @@ def _unit_sums(local: LocalOperator) -> bool:
     return float(np.abs(local.column_sums() - 1).max()) <= _UNIT_SUM_TOL
 
 
-def _certified_blocks(local: LocalOperator, c: int, n_sites: int) -> list | None:
-    """The blocks C_m = B_c(m) (D_m)_c of the last-site half c for
-    m = 1..n-1, or None where some level m fails half c's
-    `block_certificate` within 1e-12; the route both `_spectrum_eigvals`
-    and `zeta._power_traces` read a half by.
-
-    B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
-    site a level, in the dtype of `_sweep_table`: a real table grows in
-    float64.  While levels 1..m-1 pass, the paper's spectral recursion
-    holds within half c: Spec B_c(m) = {1} united with Spec C_j for j < m,
-    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  In blocks of the largest
-    dimension 2^(n-2), the growth holds B_c(n-1) and B_c(n) (5) and the
-    certificate's sums, differences and their absolute values (5) beside
-    the blocks kept (under 4/3); it ends before the list is returned.
-    """
-    table = _sweep_table(local.matrix)
-    shifts = _sweep_table(np.array(shift_coefficients(local)))
-    blocks, grown = [], np.ones((1, 1), dtype=table.dtype)
-    for m in range(1, n_sites):
-        b, grown = grown, table[c::2, c::2] if m == 1 else _recursion_step(local, grown)
-        d = np.repeat(shifts, len(b))[c::2]
-        if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
-            return None
-        blocks.append(b * d)
-    return blocks
-
-
 def _derived_halves(local: LocalOperator) -> list:
     """For each last-site half c, the (D, i) pairs that give b_c(m) =
     Spec B_c(m) from level m-1 with no eigensolve beyond one of each D, or
@@ -345,41 +320,73 @@ def _derived_halves(local: LocalOperator) -> list:
             for m in halves]
 
 
+def _half_routes(local: LocalOperator, n_sites: int, beside: int) -> list | None:
+    """Each last-site half's route, half 0 first: (pairs, None) for a half
+    that `_derived_halves` derives, or (None, [C_1..C_(n-1)]) for one whose
+    blocks C_m = B_c(m) (D_m)_c pass `block_certificate` within 1e-12 at
+    every level m; None at the first half that gets neither, before a later
+    half is grown.  The one place that picks a half's route, for both
+    `_spectrum_eigvals` and `zeta._power_traces`.
+
+    B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
+    site a level, in the dtype of `_sweep_table`: a real table grows in
+    float64.  While levels 1..m-1 pass, the paper's spectral recursion
+    holds within half c: Spec B_c(m) = {1} united with Spec C_j for j < m,
+    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  The block route's reach is
+    checked before anything is grown: the largest block, of dimension
+    2^(n-2), within `EIG_DIM_CAP`, and 11 such blocks with the caller's
+    `beside` bytes within the byte budget.  In those blocks the growth
+    holds B_c(n-1) and B_c(n) (5) and the certificate's sums, differences
+    and their absolute values (5) beside the blocks kept (under 4/3 for a
+    half, 8/3 for both); it ends before the routes are returned.
+    """
+    table = _sweep_table(local.matrix)
+    shifts = _sweep_table(np.array(shift_coefficients(local)))
+    dim = 1 << max(n_sites - 2, 0)
+    reach = dim <= EIG_DIM_CAP and 11 * dim * dim * table.dtype.itemsize + beside <= _BYTE_BUDGET
+    routes = []
+    for c, pairs in enumerate(_derived_halves(local)):
+        if not (pairs or reach):
+            return None
+        blocks, grown = [], np.ones((1, 1), dtype=table.dtype)
+        for m in range(1, 1 if pairs else n_sites):  # a derived half grows nothing
+            b, grown = grown, table[c::2, c::2] if m == 1 else _recursion_step(local, grown)
+            d = np.repeat(shifts, len(b))[c::2]
+            if not block_certificate(grown, b, d) <= _UNIT_SUM_TOL:
+                return None
+            blocks.append(b * d)
+        routes.append((pairs, None if pairs else blocks))
+    return routes
+
+
 def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     """The unclustered eigenvalues of Q_n, one per dimension, from its
     last-site halves; `spectrum` clusters them and `zeta_det` sums over them.
 
-    One recursion over the half c and the level m: b_c(m) = Spec B_c(m)
-    starts at b_c(1) = {1}; a half that `_derived_halves` allows is the
-    union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) from
-    `_eigvals_checked` (a 1 x 1 D with no solve), and any other is {1}
-    united with the spectra of its blocks below level m, each block that
-    `_certified_blocks` returns solved once.  Where some half neither
-    derives nor certifies, each certified half keeps its level n and every
-    other half B_c(n) is grown from its table half and solved whole, so a
-    derived half splits on its exact zero cross blocks as a dense solve of
-    Q_n splits it.  Returned as complex128.  One dense operator of Q_n and the
-    eigensolver cap on 2^(n-2) are checked before anything is built, the
-    cap on 2^(n-1) before any half is grown whole.
+    With the routes of `_half_routes`, one recursion over the half c and the
+    level m: b_c(m) = Spec B_c(m) starts at b_c(1) = {1}; a derived half is
+    the union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) from
+    `_eigvals_checked` (a 1 x 1 D with no solve), and a half by blocks is
+    {1} united with the spectra of its blocks below level m, each block
+    solved once.  Where there are no routes, both halves B_c(n) are grown
+    from their table halves and solved whole, after the eigensolver cap on
+    2^(n-1) is checked: a derived half splits on its exact zero cross blocks
+    as a dense solve of Q_n splits it, so the result is `_eigvals_checked`
+    of Q_n.  Returned as complex128.  One dense operator of Q_n is checked
+    against the byte budget before anything is built.
     """
     _check_budget(n_sites, operators=1)
-    _check_eig_dim(n_sites - 2)
-    derived = _derived_halves(local)
-    solved = [None if pairs else _certified_blocks(local, c, n_sites)
-              for c, pairs in enumerate(derived)]
-    solved = [blocks and [np.ones(1), *map(_eigvals_checked, blocks)] for blocks in solved]
-    if any(pairs is None and levels is None for pairs, levels in zip(derived, solved)):
+    routes = _half_routes(local, n_sites, 0)
+    if routes is None:
         _check_eig_dim(n_sites - 1)
         halves = []
-        for c, levels in enumerate(solved):
-            if levels is None:
-                b = _sweep_table(local.matrix)[c::2, c::2]
-                for _ in range(n_sites - 2):
-                    b = _recursion_step(local, b)
-                levels = [_eigvals_checked(b)]
-            halves.append(np.concatenate(levels))
+        for b in (_sweep_table(local.matrix)[c::2, c::2] for c in (0, 1)):
+            for _ in range(n_sites - 2):
+                b = _recursion_step(local, b)
+            halves.append(_eigvals_checked(b))
         return np.concatenate(halves).astype(complex)
-    spectra = [pairs and [(_eigvals_checked(d), i) for d, i in pairs] for pairs in derived]
+    solved = [blocks and [np.ones(1), *map(_eigvals_checked, blocks)] for _, blocks in routes]
+    spectra = [pairs and [(_eigvals_checked(d), i) for d, i in pairs] for pairs, _ in routes]
     b = [np.ones(1), np.ones(1)]
     for m in range(1, n_sites):
         b = [np.concatenate([np.multiply.outer(w, b[i]).ravel() for w, i in pairs])
@@ -400,16 +407,16 @@ def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     (D_m)_c for m < n, D_m the two column-block shifts over the halves of
     Q_m, wherever every level passes that half's block certificate.  Such a
     half is grown and certified alone and solved by its blocks, of
-    dimension up to 2^(n-2) (see `_certified_blocks`).  A half that
-    neither derives nor certifies is grown and solved whole at level n, of
-    dimension 2^(n-1), and so is a derived half beside it, with the result
-    of a solve of Q_n (see `_spectrum_eigvals`); Q_n itself is never
-    formed.  One half is grown at a time: B_c(n-1) and B_c(n), five
-    sixteenths of Q_n (half that for a real table, grown in float64),
-    beside the certificate's buffers and the blocks kept, under a twelfth
-    a half; the blocks are solved after the growth, and a half grown whole
-    holds one B_c(n) beside its eigensolve.  Each solve is checked as in
-    `eig_dense`, and the union of both halves is clustered once.
+    dimension up to 2^(n-2).  `_half_routes` picks each half's route; where
+    some half gets none, both are grown and solved whole at level n, of
+    dimension 2^(n-1), with the result of a solve of Q_n (see
+    `_spectrum_eigvals`); Q_n itself is never formed.  One half is grown at
+    a time: B_c(n-1) and B_c(n), five sixteenths of Q_n (half that for a
+    real table, grown in float64), beside the certificate's buffers and the
+    blocks kept, under a twelfth a half; the blocks are solved after the
+    growth, and a half grown whole holds one B_c(n) beside its eigensolve.
+    Each solve is checked as in `eig_dense`, and the union of both halves
+    is clustered once.
     """
     return _cluster(_spectrum_eigvals(local, n_sites))
 

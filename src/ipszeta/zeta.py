@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
 from .operators import (
-    _BYTE_BUDGET,
     LocalOperator,
     _charge,
     _check_budget,
@@ -25,7 +24,7 @@ from .operators import (
     _sweep_blocks,
     _sweep_table,
 )
-from .spectral import EIG_DIM_CAP, _certified_blocks, _derived_halves, _spectrum_eigvals
+from .spectral import EIG_DIM_CAP, _half_routes, _spectrum_eigvals
 
 # Bytes of basis columns swept together, in the sweep's dtype.  The batches
 # only bound the memory the sweeps hold: `_sweep_2d` blocks each sweep for
@@ -131,47 +130,37 @@ def _block_traces(block: np.ndarray, r_max: int, spare: np.ndarray) -> np.ndarra
 def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     """tr(Q^r) for r = 1..r_max from the last-site halves, t_0(n) + t_1(n)
     with t_c(n) = tr B_c(n)^r, by the recursion of
-    `spectral._spectrum_eigvals` from t_c(1) = 1.  A half with (D, i) pairs
-    from `spectral._derived_halves` takes t_c(m) = sum tr(D^r) t_i(m-1),
-    tr(D^r) read from the powers of D by `_powers` with no solve: exact
-    diagonal products for a 1 x 1 D, and for a 2 x 2 one tr M^r, sharper
-    than a sum of powers of its eigenvalues.  Any other half takes t_c(m)
-    as the prefix sums 1 + sum_(j<m) tr C_j^r over the blocks that
-    `spectral._certified_blocks` returns, each by `_block_traces` in one
-    buffer sized for the largest, about 2 sqrt(r_max) products a block.
-
-    The block route's reach is checked once, before any block is grown:
-    the largest block, of dimension 2^(n-2), within `EIG_DIM_CAP`, and
-    11 + steps largest blocks (steps = k + J >= 2 of `_baby_giant`) with
-    both halves' (n, r_max) traces within the byte budget.  Beside both
-    halves' kept blocks, under 8/3, the route holds first the growth's 10
-    (see `_certified_blocks`), then the steps of the baby and giant stacks.
-    At the first half that neither derives nor gets blocks the call goes
-    to the paired sweep at level n, before the other half is grown:
-    beyond `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n,
-    take longer than the sweep, whose time grows as 4^n, and hold far
-    more.  Admitted by `_admit_traces` with the r_max-long arrays of the
-    derived halves (the half tables' powers and each level's traces) at
-    256 bytes a power."""
+    `spectral._spectrum_eigvals` from t_c(1) = 1 over the routes of
+    `spectral._half_routes`.  A derived half takes t_c(m) = sum tr(D^r)
+    t_i(m-1) over its (D, i) pairs, tr(D^r) read from the powers of D by
+    `_powers` with no solve: exact diagonal products for a 1 x 1 D, and for
+    a 2 x 2 one tr M^r, sharper than a sum of powers of its eigenvalues.  A
+    half by blocks takes t_c(m) as the prefix sums 1 + sum_(j<m) tr C_j^r,
+    each by `_block_traces` in one buffer sized for the largest, about
+    2 sqrt(r_max) products a block.  Beside the growth and both halves'
+    kept blocks, the route holds the baby and giant stacks, k + J largest
+    blocks (see `_baby_giant`), and both halves' (n, r_max) traces: the
+    bytes it hands `_half_routes` to check with the route's reach.  Where
+    there are no routes the call takes the paired sweep at level n: beyond
+    `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n, take
+    longer than the sweep, whose time grows as 4^n, and hold far more.
+    Admitted by `_admit_traces` with the r_max-long arrays of the derived
+    halves (the half tables' powers and each level's traces) at 256 bytes
+    a power."""
     _admit_traces(n_sites, r_max, 256)
-    derived = _derived_halves(local)
     dtype = _sweep_table(local.matrix).dtype
     steps = sum(_baby_giant(r_max))
     dim = 1 << max(n_sites - 2, 0)
-    reach = (dim <= EIG_DIM_CAP and (11 + steps) * dim * dim * dtype.itemsize
-             + 32 * n_sites * r_max <= _BYTE_BUDGET)
-    solved = []
-    for c, pairs in enumerate(derived):
-        solved.append(None if pairs or not reach else _certified_blocks(local, c, n_sites))
-        if pairs is None and solved[c] is None:
-            return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
-    spare = np.empty(steps * dim * dim if any(solved) else 0, dtype=dtype)
+    routes = _half_routes(local, n_sites, steps * dim * dim * dtype.itemsize + 32 * n_sites * r_max)
+    if routes is None:
+        return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
+    spare = np.empty(steps * dim * dim if any(blocks for _, blocks in routes) else 0, dtype=dtype)
     solved = [blocks and np.cumsum([np.ones(r_max), *(_block_traces(b, r_max, spare)
                                                      for b in blocks)], axis=0, dtype=complex)
-              for blocks in solved]
+              for _, blocks in routes]
     traces = [pairs and [(np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)),
                                    axis1=1, axis2=2), i) for d, i in pairs]
-              for pairs in derived]
+              for pairs, _ in routes]
     t = np.ones((2, r_max), dtype=complex)
     for m in range(1, n_sites):
         t = np.stack([solved[c][m] if pairs is None else sum(w * t[i] for w, i in pairs)
@@ -180,12 +169,12 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
 
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
-    """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves: a half
-    derived from the (D, i) pairs of `spectral._derived_halves` by the
-    O(n r_max) recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, any other
-    from the traces of its certified blocks, or from the paired sweep where
-    it gets none or they are beyond reach (see `_power_traces`); no dense
-    power of Q is stored.
+    """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves on the
+    routes of `spectral._half_routes`: a derived half by the O(n r_max)
+    recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, a half by blocks
+    from the traces of its certified blocks, and the paired sweep where
+    there are no routes (see `_power_traces`); no dense power of Q is
+    stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 

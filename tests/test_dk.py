@@ -150,6 +150,9 @@ def test_wilson_interval_properties():
     assert lo2 < 0.5 < hi2
     lo3, hi3 = wilson_interval(500, 1000)
     assert hi3 - lo3 < hi2 - lo2  # width shrinks with sample size
+    for successes, trials in ((5, 3), (-1, 3), (0, 0)):
+        with pytest.raises(ParamOutOfRange):
+            wilson_interval(successes, trials)
 
 
 def test_survival_exact_limits():

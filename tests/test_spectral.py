@@ -82,13 +82,17 @@ def test_eig_dense_residual_and_caps(rng):
     assert abs(spec.moment(1) - np.trace(m)) < 1e-9 * max(1.0, abs(np.trace(m)))
     with pytest.raises(SizeCapExceeded):
         eig_dense(np.zeros((1025, 1025)))
+    for shape in ((0, 0), (3, 2), (4,)):
+        with pytest.raises(ValueError):
+            eig_dense(np.zeros(shape))
 
 
 def test_eig_cap_refuses_before_dense_build(capsys):
     # at n = 12 the dense operator alone is 256 MiB; each refusal must come first.
-    # spectrum and zeta_det solve last-site halves: DK's largest, a half of the
-    # block Q_(n-1) D_(n-1), is 2^(n-2), so it is refused at n = 13; a GENERAL
-    # table solves the halves of Q_n, 2^(n-1), and is refused at n = 12.
+    # spectrum and zeta_det solve last-site halves: DK's largest block, a half
+    # of Q_(n-1) D_(n-1), is 2^(n-2), beyond the block route's reach at n = 13,
+    # so both halves would be solved whole, 2^(n-1), and it is refused there;
+    # a GENERAL table solves the halves of Q_n, 2^(n-1), and is refused at n = 12.
     dk = dk_local_operator(DKParams(0.3, 0.6))  # shift family, t = 0.3
     general = random_local_operator("general", np.random.default_rng(0))
     refusals = [
@@ -547,7 +551,8 @@ def test_spectrum_single_site(rng):
 def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
     # Haar-QCA and GENERAL tables fail each half's first certificate, on its
     # column sums; the large stochastic table passes those but fails a later
-    # level in both halves, so each half ends in one solve of B_c(n).  Half 1
+    # level in half 0, so both halves end in one solve of B_c(n).  At n = 4
+    # its half 1 passes every level, and is solved whole all the same.  Half 1
     # of the half-unit-sums table fails its first certificate, so each
     # B_1(m) is solved whole; its half 0 has DK's triangular table at p = 1/2
     # and is derived from b_0(m-1) and b_1(m-1) / 2, exact halvings of the
@@ -555,7 +560,7 @@ def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
     cases = [(random_local_operator(fam, rng), n) for fam in ("qca", "general")
              for n in (2, 5, 7)]
     large = large_stochastic()
-    for n in (5, 7):
+    for n in (4, 5, 7):
         eig_shapes.clear()
         spectrum(large, n)
         assert spectral._unit_sums(large) and eig_shapes.count((1 << (n - 1),) * 2) == 2
@@ -580,18 +585,6 @@ def test_spectrum_falls_back_bit_identical(rng, eig_shapes):
         want = eig_dense(build_global_recursive(loc, n).dense)
         assert np.array_equal(got.values, want.values), (loc.label, n)
         assert np.array_equal(got.multiplicities, want.multiplicities), (loc.label, n)
-
-
-def test_spectrum_one_half_by_blocks(eig_shapes):
-    # at n = 4 half 0 of the large stochastic table fails its level-3
-    # certificate and half 1 passes every level: one 8 x 8 solve, of B_0(4),
-    # and blocks for half 1; power sums agree with the swept traces
-    large, n = large_stochastic(), 4
-    got = spectrum(large, n)
-    assert eig_shapes.count((8, 8)) == 1 and got.total == 1 << n
-    traces = power_trace_coefficients(large, n, 8) * (1 << n)
-    for r in range(1, 9):
-        assert abs(got.moment(r) - traces[r - 1]) <= 1e-8 * max(1.0, abs(traces[r - 1])), r
 
 
 def test_spectrum_shift_family_no_worse_than_full_solve():
@@ -736,6 +729,22 @@ def test_dk_q1_needs_no_eigensolve(eig_shapes):
         assert abs(np.sum(w ** r) - traces[r - 1]) <= 1e-14 * abs(traces[r - 1]), r
 
 
+def test_fully_derived_spectra_past_the_eigensolver_cap():
+    # tables whose halves both derive solve nothing larger than 2 x 2, so
+    # their spectra are answered up to n = 14, where one dense operator of
+    # Q_n fills the byte budget; power sums within 1e-10 of max(1, |tr Q^r|)
+    # of the traces
+    rule = ca_rules()[10]  # the left site takes the right one's value: both halves derive
+    for loc in (qca_rotation_local(0.7), dk_local_operator(DKParams(0.6, 1.0)), rule):
+        for n in (13, 14):
+            spec = spectrum(loc, n)
+            assert spec.total == 1 << n
+            traces = power_trace_coefficients(loc, n, 8) * (1 << n)
+            for r in range(1, 9):
+                err = abs(spec.moment(r) - traces[r - 1])
+                assert err <= 1e-10 * max(1.0, abs(traces[r - 1])), (loc.label, n, r, err)
+
+
 def test_uncontrolled_rotation_spectrum():
     # equal half tables: Q_n = M^(x)(n-1) (x) I_2, spectrum e^(i xi (n-1-2a))
     # with multiplicity 2 C(n-1, a)
@@ -791,14 +800,15 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
     # the complex-grown one exactly and solves to the same bits, so the
     # spectra are those of a complex growth
     tables = [dk_local_operator(DKParams(0.5, 0.75)), dk_local_operator(DKParams(0.3, 0.6)),
+              *(dk_local_operator(DKParams(p, 0.3)) for p in (0.1, 0.9, 1.0)),
               dk_local_operator(DKParams.bond_percolation(0.6447)),
-              random_local_operator("pca", rng), random_local_operator("general", rng),
+              *(random_local_operator(fam, rng) for fam in ("pca", "pca", "general")),
               qca_rotation_local(0.7), *ca_rules()]
     solved = 0
     for loc in tables:
-        for c in (0, 1):
+        for c, (_, blocks) in enumerate(spectral._half_routes(loc, 8, 0) or []):
             want = complex_grown_blocks(loc, c, 7)
-            for block, ref in zip(spectral._certified_blocks(loc, c, 8) or [], want):
+            for block, ref in zip(blocks or [], want):
                 assert block.dtype == np.float64 and not ref.imag.any()
                 assert np.array_equal(block, ref.real), (loc.label, c)
                 got, ref_eigs = spectral._eigvals_checked(block), spectral._eigvals_checked(ref)
@@ -809,9 +819,10 @@ def test_real_growth_keeps_the_eigenvalues_bit_identical(rng):
 
 def test_spectra_and_traces_take_the_same_route(rng, monkeypatch):
     # power traces fall back to the paired sweep exactly where the spectrum
-    # solves a whole half of dimension 2^(n-1): at a half that neither
-    # derives nor certifies.  A half that does not derive gets None or its
-    # n - 1 certified blocks, C_m of dimension 2^(m-1)
+    # solves both halves whole, of dimension 2^(n-1): where some half
+    # neither derives nor certifies, and `_half_routes` gives no routes.  A
+    # half that does not derive gets its n - 1 certified blocks, C_m of
+    # dimension 2^(m-1)
     tables = [dk_local_operator(DKParams(p, q)) for p in (0.1, 0.5, 0.9, 1.0)
               for q in (0.0, 0.3, 0.75)]
     tables += [random_local_operator(fam, rng)
@@ -836,12 +847,12 @@ def test_spectra_and_traces_take_the_same_route(rng, monkeypatch):
             solved.clear()
             power_trace_coefficients(loc, n, 3)
             spectral._spectrum_eigvals(loc, n)
-            assert (swept == [n]) == (1 << (n - 1) in solved), (loc.label, n)
+            routes = spectral._half_routes(loc, n, 0)
+            assert (swept == [n]) == (routes is None) == (solved.count(1 << (n - 1)) == 2), \
+                (loc.label, n)
             assert swept in ([], [n]), (loc.label, n)
-            for c, pairs in enumerate(spectral._derived_halves(loc)):
-                if pairs is None:
-                    blocks = spectral._certified_blocks(loc, c, n)
-                    assert blocks is None or [b.shape for b in blocks] == \
-                        [(1 << m, 1 << m) for m in range(n - 1)], (loc.label, n, c)
-                    outcomes.add((bool(swept), blocks is None))
-    assert {(False, False), (True, True)} <= outcomes
+            for _, blocks in routes or []:
+                assert blocks is None or [b.shape for b in blocks] == \
+                    [(1 << m, 1 << m) for m in range(n - 1)], (loc.label, n)
+            outcomes.add(routes is None)
+    assert outcomes == {False, True}

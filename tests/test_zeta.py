@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ipszeta import zeta
+from ipszeta import spectral, zeta
 from ipszeta.claims import verify_claim
 from ipszeta.dk import DKParams, dk_entries, dk_local_operator
 from ipszeta.errors import ParamOutOfRange, SingularFactor, SizeCapExceeded
@@ -127,6 +127,12 @@ def test_each_power_sweeps_half_the_columns(rng, monkeypatch):
         assert calls == [], n
 
 
+def derived(loc):
+    """Whether each last-site half of `loc` is derived, from its routes at
+    n = 1, where no half is grown and every half gets one."""
+    return [pairs is not None for pairs, _ in spectral._half_routes(loc, 1, 0)]
+
+
 def derived_trace_tables():
     """Tables with a derived half: the 16 CA rules, DK at q = 1 and q < 1,
     bond DK, the rotation at four angles and a complex table with equal half
@@ -148,7 +154,7 @@ def test_derived_traces_match_the_paired_sweep():
     # half tables sit within 1e-13 of max(1, |C_r|) of the paired sweep
     # (read at most 6.1e-15, on the rotation)
     for loc in derived_trace_tables():
-        assert any(pairs is not None for pairs in zeta._derived_halves(loc)), loc.label
+        assert any(derived(loc)), loc.label
         for n in range(1, 11):
             got = power_trace_coefficients(loc, n, 30)
             want = zeta._swept_coefficients(loc, n, 30)
@@ -168,8 +174,7 @@ def test_rotation_traces_from_the_half_tables():
 def test_derived_halves_never_sweep(monkeypatch):
     # where both halves derive, the traces take O(n r_max), with no sweep
     # and no eigensolve: equal half tables need tr M^r, not its eigenvalues
-    both = [loc for loc in derived_trace_tables()
-            if None not in zeta._derived_halves(loc)]
+    both = [loc for loc in derived_trace_tables() if all(derived(loc))]
     assert len(both) == 10 + 4 + 4 + 1  # CA rules, DK at q = 1, rotations, equal halves
 
     def refused(*args, **kwargs):
@@ -199,7 +204,8 @@ def test_block_route_matches_the_paired_sweep():
     # C_r with a half from the certified blocks sit within 1e-13 of
     # max(1, |C_r|) of the paired sweep
     tables = block_route_tables()
-    assert sum(None in zeta._derived_halves(t) for t in tables) == 16 + 1 + 4 + 6
+    routes = [spectral._half_routes(t, 9, 0) for t in tables]
+    assert sum(any(blocks for _, blocks in r) for r in routes) == 16 + 1 + 4 + 6
     for loc in tables:
         for n in range(1, 10):
             for r_max in (1, 2, 3, 7, 30):
@@ -218,8 +224,8 @@ def test_block_route_complex_stochastic():
     rng = np.random.default_rng(11)
     for _ in range(8):
         loc = random_local_operator("complex-stochastic", rng)
-        assert zeta._derived_halves(loc) == [None, None]
         for n in range(1, 9):
+            assert [len(blocks) for _, blocks in spectral._half_routes(loc, n, 0)] == [n - 1] * 2
             got = power_trace_coefficients(loc, n, 12)
             want = zeta._swept_coefficients(loc, n, 12)
             assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), n
@@ -279,25 +285,34 @@ def test_block_route_falls_back_beyond_the_budget(monkeypatch):
     # what it holds
     loc = dk_local_operator(DKParams(0.5, 0.75))
     want = power_trace_coefficients(loc, 6, 5)
-    sweeps, certified, swept, grown = zeta._trace_sweeps, zeta._certified_blocks, [], []
+    sweeps, half_routes, step = zeta._trace_sweeps, zeta._half_routes, spectral._recursion_step
+    swept, taken, grown = [], [], []
 
     def recorded(*args, **kwargs):
         swept.append(args[1])
         return sweeps(*args, **kwargs)
 
-    def blocks(*args):
-        grown.append(args[1:])
-        return certified(*args)
+    def routes(*args):
+        got = half_routes(*args)
+        taken.append(got and [blocks is not None for _, blocks in got])
+        return got
+
+    def growth(local, q):
+        grown.append(len(q))
+        return step(local, q)
 
     monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
-    monkeypatch.setattr(zeta, "_certified_blocks", blocks)
-    monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33728)
+    monkeypatch.setattr(zeta, "_half_routes", routes)
+    monkeypatch.setattr(spectral, "_recursion_step", growth)
+    monkeypatch.setattr(spectral, "_BYTE_BUDGET", 33728)
     power_trace_coefficients(loc, 6, 5)
-    assert swept == [] and grown == [(1, 6)]
+    # half 0 derives; half 1 is grown alone to B_1(6) and read by its blocks
+    assert swept == [] and taken == [[False, True]] and grown == [2, 4, 8, 16]
+    taken.clear()
     grown.clear()
-    monkeypatch.setattr(zeta, "_BYTE_BUDGET", 33727)
+    monkeypatch.setattr(spectral, "_BYTE_BUDGET", 33727)
     got = power_trace_coefficients(loc, 6, 5)
-    assert swept == [6] and grown == []
+    assert swept == [6] and taken == [None] and grown == []
     assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -331,7 +346,7 @@ def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
     # family's route at both sizes, with tr Q against the closed form
     assert 1 << (12 - 2) == EIG_DIM_CAP
     rng = np.random.default_rng(23)
-    deriving_ca = [loc for loc in ca_rules() if None not in zeta._derived_halves(loc)]
+    deriving_ca = [loc for loc in ca_rules() if all(derived(loc))]
     assert len(deriving_ca) == 10
     routes = [  # the route at n = 12, at n = 13, and the tables that take them
         ("blocks", "sweep", [dk_local_operator(DKParams(0.5, 0.75)),
@@ -343,11 +358,11 @@ def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
         ("sweep", "sweep",
          [random_local_operator("general", rng), random_local_operator("qca", rng)]),
     ]
-    certified, sweeps, taken = zeta._certified_blocks, zeta._trace_sweeps, []
+    half_routes, sweeps, taken = zeta._half_routes, zeta._trace_sweeps, []
 
-    def blocks(*args):
-        got = certified(*args)
-        if got is not None:
+    def recorded(*args):
+        got = half_routes(*args)
+        if got is not None and any(blocks is not None for _, blocks in got):
             taken.append("blocks")
         return got
 
@@ -355,7 +370,7 @@ def test_power_trace_routes_at_the_eigensolver_cap(monkeypatch):
         taken.append("sweep")
         return sweeps(*args, **kwargs)
 
-    monkeypatch.setattr(zeta, "_certified_blocks", blocks)
+    monkeypatch.setattr(zeta, "_half_routes", recorded)
     monkeypatch.setattr(zeta, "_trace_sweeps", swept)
     for at_12, at_13, tables in routes:
         for loc in tables:
@@ -633,18 +648,19 @@ def test_column_sum_radius_skips_the_norms(rng, monkeypatch):
     # table: no norm sweeps, the same coefficients, and 1/rho-hat within
     # the allowance 4 n eps of their exact radius 1
     asked, blocks = [], []
-    sweeps, certified = zeta._trace_sweeps, zeta._certified_blocks
+    sweeps, half_routes = zeta._trace_sweeps, zeta._half_routes
 
     def recorded(local, n_sites, r_max, with_norms):
         asked.append(with_norms)
         return sweeps(local, n_sites, r_max, with_norms)
 
     def block_route(*args):
-        blocks.append(args)
-        return certified(*args)
+        got = half_routes(*args)
+        blocks.extend(b for _, b in got or [] if b is not None)
+        return got
 
     monkeypatch.setattr(zeta, "_trace_sweeps", recorded)
-    monkeypatch.setattr(zeta, "_certified_blocks", block_route)
+    monkeypatch.setattr(zeta, "_half_routes", block_route)
     for loc in nonnegative_equal_sum_tables(rng):
         for n in (2, 5, 8):
             series = zeta_log_series(loc, n, 12)
