@@ -300,8 +300,8 @@ def _unit_sums(local: LocalOperator) -> bool:
 def _derived_halves(local: LocalOperator) -> list:
     """For each last-site half c, the (D, i) pairs that give b_c(m) =
     Spec B_c(m) from level m-1 with no eigensolve beyond one of each D, or
-    None: b_c(m) is the union of Spec(D) b_i(m-1) over the pairs, and
-    tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r.  Each D is a sub-table of
+    None: b_c(m) is the union of Spec(D) b_i(m-1) over the pairs (see
+    `_recurse_halves`).  Each D is a sub-table of
     `_sweep_table(local.matrix)`.
 
     Inside B_c, site m-2 moves by the half table M_c = a[c::2, c::2], so
@@ -330,9 +330,7 @@ def _half_routes(local: LocalOperator, n_sites: int, beside: int) -> list | None
 
     B_c grows from B_c(1) = [1] and B_c(2) = M_c by `_recursion_step`, one
     site a level, in the dtype of `_sweep_table`: a real table grows in
-    float64.  While levels 1..m-1 pass, the paper's spectral recursion
-    holds within half c: Spec B_c(m) = {1} united with Spec C_j for j < m,
-    so tr B_c(m)^r = 1 + sum_(j<m) tr C_j^r.  The block route's reach is
+    float64; `_recurse_halves` reads the blocks.  The block route's reach is
     checked before anything is grown: the largest block, of dimension
     2^(n-2), within `EIG_DIM_CAP`, and 11 such blocks with the caller's
     `beside` bytes within the byte budget.  In those blocks the growth
@@ -359,21 +357,43 @@ def _half_routes(local: LocalOperator, n_sites: int, beside: int) -> list | None
     return routes
 
 
+def _recurse_halves(routes: list, n_sites: int, unit, pair_leaf, block_leaf, scale, union):
+    """The spectral recursion over the last-site halves c and the levels m,
+    on the routes of `_half_routes`, for any form of a multiset that
+    `union` joins and `scale` multiplies: eigenvalue arrays for
+    `_spectrum_eigvals`, power sums r = 1..r_max for `zeta._power_traces`
+    (a union's power sums add, a product's multiply).
+
+    Both halves start at v_c(1) = `unit`, the multiset {1}.  A derived half
+    is v_c(m) = the union of scale(pair_leaf(D), v_i(m-1)) over its (D, i)
+    pairs.  A half by blocks is v_c(m) = `unit` united with block_leaf(C_j)
+    for j < m: where every level passes its certificate, the paper's
+    recursion Spec B_c(m) = {1} united with Spec C_j, C_j = B_c(j) (D_j)_c.
+    The blocks' prefixes give every level that a derived other half reads.
+    Each leaf is taken once, every block's before every pair's.  Returns
+    the union of both halves at level n.
+    """
+    blocks = [b and [unit, *map(block_leaf, b)] for _, b in routes]
+    pairs = [p and [(pair_leaf(d), i) for d, i in p] for p, _ in routes]
+    v = [unit, unit]
+    for m in range(1, n_sites):
+        v = [union([scale(w, v[i]) for w, i in p]) if p else union(blocks[c][:m + 1])
+             for c, p in enumerate(pairs)]
+    return union(v)
+
+
 def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
     """The unclustered eigenvalues of Q_n, one per dimension, from its
     last-site halves; `spectrum` clusters them and `zeta_det` sums over them.
 
-    With the routes of `_half_routes`, one recursion over the half c and the
-    level m: b_c(m) = Spec B_c(m) starts at b_c(1) = {1}; a derived half is
-    the union of Spec(D) b_i(m-1) over its (D, i) pairs, each Spec(D) from
-    `_eigvals_checked` (a 1 x 1 D with no solve), and a half by blocks is
-    {1} united with the spectra of its blocks below level m, each block
-    solved once.  Where there are no routes, both halves B_c(n) are grown
-    from their table halves and solved whole, after the eigensolver cap on
-    2^(n-1) is checked: a derived half splits on its exact zero cross blocks
-    as a dense solve of Q_n splits it, so the result is `_eigvals_checked`
-    of Q_n.  Returned as complex128.  One dense operator of Q_n is checked
-    against the byte budget before anything is built.
+    `_recurse_halves` runs on eigenvalue arrays, each D and block solved
+    once by `_eigvals_checked` (a 1 x 1 one with no solve).  Where there are
+    no routes, both halves B_c(n) are grown from their table halves and
+    solved whole, after the eigensolver cap on 2^(n-1) is checked: a
+    derived half splits on its exact zero cross blocks as a dense solve of
+    Q_n splits it, so the result is `_eigvals_checked` of Q_n.  Returned as
+    complex128.  One dense operator of Q_n is checked against the byte
+    budget before anything is built.
     """
     _check_budget(n_sites, operators=1)
     routes = _half_routes(local, n_sites, 0)
@@ -385,38 +405,27 @@ def _spectrum_eigvals(local: LocalOperator, n_sites: int) -> np.ndarray:
                 b = _recursion_step(local, b)
             halves.append(_eigvals_checked(b))
         return np.concatenate(halves).astype(complex)
-    solved = [blocks and [np.ones(1), *map(_eigvals_checked, blocks)] for _, blocks in routes]
-    spectra = [pairs and [(_eigvals_checked(d), i) for d, i in pairs] for pairs, _ in routes]
-    b = [np.ones(1), np.ones(1)]
-    for m in range(1, n_sites):
-        b = [np.concatenate([np.multiply.outer(w, b[i]).ravel() for w, i in pairs])
-             if pairs else np.concatenate(solved[c][:m + 1]) for c, pairs in enumerate(spectra)]
-    return np.concatenate(b).astype(complex)
+    return _recurse_halves(routes, n_sites, np.ones(1), _eigvals_checked, _eigvals_checked,
+                           lambda w, b: np.multiply.outer(w, b).ravel(),
+                           np.concatenate).astype(complex)
 
 
 def spectrum(local: LocalOperator, n_sites: int) -> SpectrumMultiset:
     """Spectrum of the n-site global operator, solved as its last-site halves.
 
     Site n-1 never moves, so Q_n is the direct sum of its halves B_c(n) =
-    Q_n[c::2, c::2].  A half whose table M_c has an exact zero off its
-    diagonal, or both when M_0 == M_1 exactly, is derived level by level as
-    the union of Spec(D) b_i(m-1) over the (D, i) pairs of
-    `_derived_halves`, with no eigensolve beyond a 2 x 2 solve of equal
-    half tables, one for each half.  In any other half the paper's spectral
-    recursion holds on its own: Spec B_c(n) = {1} united with Spec B_c(m)
-    (D_m)_c for m < n, D_m the two column-block shifts over the halves of
-    Q_m, wherever every level passes that half's block certificate.  Such a
-    half is grown and certified alone and solved by its blocks, of
-    dimension up to 2^(n-2).  `_half_routes` picks each half's route; where
-    some half gets none, both are grown and solved whole at level n, of
-    dimension 2^(n-1), with the result of a solve of Q_n (see
-    `_spectrum_eigvals`); Q_n itself is never formed.  One half is grown at
-    a time: B_c(n-1) and B_c(n), five sixteenths of Q_n (half that for a
-    real table, grown in float64), beside the certificate's buffers and the
-    blocks kept, under a twelfth a half; the blocks are solved after the
-    growth, and a half grown whole holds one B_c(n) beside its eigensolve.
-    Each solve is checked as in `eig_dense`, and the union of both halves
-    is clustered once.
+    Q_n[c::2, c::2], each taken by the recursion of `_recurse_halves` on the
+    route `_half_routes` picks: derived, with no eigensolve beyond a 2 x 2
+    solve of equal half tables, or by its certified blocks, of dimension up
+    to 2^(n-2).  Where some half gets no route, both are grown and solved
+    whole at level n, of dimension 2^(n-1), with the result of a solve of
+    Q_n (see `_spectrum_eigvals`); Q_n itself is never formed.  One half is
+    grown at a time: B_c(n-1) and B_c(n), five sixteenths of Q_n (half that
+    for a real table, grown in float64), beside the certificate's buffers
+    and the blocks kept, under a twelfth a half; the blocks are solved after
+    the growth, and a half grown whole holds one B_c(n) beside its
+    eigensolve.  Each solve is checked as in `eig_dense`, and the union of
+    both halves is clustered once.
     """
     return _cluster(_spectrum_eigvals(local, n_sites))
 

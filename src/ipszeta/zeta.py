@@ -24,7 +24,7 @@ from .operators import (
     _sweep_blocks,
     _sweep_table,
 )
-from .spectral import EIG_DIM_CAP, _half_routes, _spectrum_eigvals
+from .spectral import EIG_DIM_CAP, _half_routes, _recurse_halves, _spectrum_eigvals
 
 # Bytes of basis columns swept together, in the sweep's dtype.  The batches
 # only bound the memory the sweeps hold: `_sweep_2d` blocks each sweep for
@@ -128,25 +128,21 @@ def _block_traces(block: np.ndarray, r_max: int, spare: np.ndarray) -> np.ndarra
 
 
 def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
-    """tr(Q^r) for r = 1..r_max from the last-site halves, t_0(n) + t_1(n)
-    with t_c(n) = tr B_c(n)^r, by the recursion of
-    `spectral._spectrum_eigvals` from t_c(1) = 1 over the routes of
-    `spectral._half_routes`.  A derived half takes t_c(m) = sum tr(D^r)
-    t_i(m-1) over its (D, i) pairs, tr(D^r) read from the powers of D by
-    `_powers` with no solve: exact diagonal products for a 1 x 1 D, and for
-    a 2 x 2 one tr M^r, sharper than a sum of powers of its eigenvalues.  A
-    half by blocks takes t_c(m) as the prefix sums 1 + sum_(j<m) tr C_j^r,
-    each by `_block_traces` in one buffer sized for the largest, about
-    2 sqrt(r_max) products a block.  Beside the growth and both halves'
-    kept blocks, the route holds the baby and giant stacks, k + J largest
-    blocks (see `_baby_giant`), and both halves' (n, r_max) traces: the
-    bytes it hands `_half_routes` to check with the route's reach.  Where
-    there are no routes the call takes the paired sweep at level n: beyond
-    `EIG_DIM_CAP` the blocks' dense products, which grow as 8^n, take
-    longer than the sweep, whose time grows as 4^n, and hold far more.
-    Admitted by `_admit_traces` with the r_max-long arrays of the derived
-    halves (the half tables' powers and each level's traces) at 256 bytes
-    a power."""
+    """tr(Q^r) for r = 1..r_max by `spectral._recurse_halves` on power sums
+    over the routes of `spectral._half_routes`.  tr(D^r) is read from the
+    powers of D by `_powers` with no solve: exact diagonal products for a
+    1 x 1 D, and for a 2 x 2 one tr M^r, sharper than a sum of powers of its
+    eigenvalues.  tr C^r of each block comes from `_block_traces` in one
+    buffer sized for the largest, about 2 sqrt(r_max) products a block.
+    Beside the growth and both halves' kept blocks, the route holds the baby
+    and giant stacks, k + J largest blocks (see `_baby_giant`), and both
+    halves' (n, r_max) traces: the bytes it hands `_half_routes` to check
+    with the route's reach.  Where there are no routes the call takes the
+    paired sweep at level n: beyond `EIG_DIM_CAP` the blocks' dense
+    products, which grow as 8^n, take longer than the sweep, whose time
+    grows as 4^n, and hold far more.  Admitted by `_admit_traces` with the
+    r_max-long arrays of the derived halves (the half tables' powers and
+    each level's traces) at 256 bytes a power."""
     _admit_traces(n_sites, r_max, 256)
     dtype = _sweep_table(local.matrix).dtype
     steps = sum(_baby_giant(r_max))
@@ -155,26 +151,15 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     if routes is None:
         return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
     spare = np.empty(steps * dim * dim if any(blocks for _, blocks in routes) else 0, dtype=dtype)
-    solved = [blocks and np.cumsum([np.ones(r_max), *(_block_traces(b, r_max, spare)
-                                                     for b in blocks)], axis=0, dtype=complex)
-              for _, blocks in routes]
-    traces = [pairs and [(np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)),
-                                   axis1=1, axis2=2), i) for d, i in pairs]
-              for pairs, _ in routes]
-    t = np.ones((2, r_max), dtype=complex)
-    for m in range(1, n_sites):
-        t = np.stack([solved[c][m] if pairs is None else sum(w * t[i] for w, i in pairs)
-                      for c, pairs in enumerate(traces)])
-    return t.sum(axis=0)
+    return _recurse_halves(
+        routes, n_sites, np.ones(r_max, dtype=complex),
+        lambda d: np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)), axis1=1, axis2=2),
+        lambda block: _block_traces(block, r_max, spare), np.multiply, sum)
 
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
-    """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves on the
-    routes of `spectral._half_routes`: a derived half by the O(n r_max)
-    recursion tr B_c(m)^r = sum tr(D^r) tr B_i(m-1)^r, a half by blocks
-    from the traces of its certified blocks, and the paired sweep where
-    there are no routes (see `_power_traces`); no dense power of Q is
-    stored.
+    """C_1..C_rmax with C_r = tr(Q^r)/2^n, from the last-site halves (see
+    `_power_traces`); no dense power of Q is stored.
     """
     return _power_traces(local, n_sites, r_max) / (1 << n_sites)
 
