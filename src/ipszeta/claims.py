@@ -66,7 +66,8 @@ class Claim:
     predicate on the local table), its check and its default tolerance.
 
     The check maps (table, n_sites, r_max) to a residual and a dict of
-    float64 side measures, aggregated over tables by their maximum.
+    float64 side measures, aggregated over tables by their maximum, which
+    is NaN if any of them is.
     """
 
     domain: str
@@ -241,7 +242,8 @@ def verify_claim(name: str, tables, n_sites: int, tol: float | None = None,
                  r_max: int = 30) -> VerificationReport:
     """Check the named claim on every table at n_sites.
 
-    `worst_residual` is the largest residual over all tables.  `details`
+    `worst_residual` is the largest residual over all tables, or NaN if
+    any is NaN, so a residual that is not finite fails the claim.  `details`
     holds the count, the domain, the maxima of the check's side measures and
     `cases`, one row per table with its residual and whether it lies in the
     domain.  If any table lies outside, `passed` is None and
@@ -261,11 +263,13 @@ def verify_claim(name: str, tables, n_sites: int, tol: float | None = None,
         residual, more = claim.check(local, n_sites, r_max)
         cases.append({"residual": residual, "in_domain": inside})
         for key, value in more.items():
-            measures[key] = max(measures.get(key, 0.0), value)
+            measures.setdefault(key, []).append(value)
     if not cases:
         raise ParamOutOfRange("verify %s needs at least one table" % name)
-    worst = max(case["residual"] for case in cases)
-    details = {"count": len(cases), "domain": claim.domain, **measures}
+    # np.max, unlike max, returns a NaN from any position, which fails the claim
+    worst = float(np.max([case["residual"] for case in cases]))
+    details = {"count": len(cases), "domain": claim.domain,
+               **{key: float(np.max(values)) for key, values in measures.items()}}
     outside = sum(not case["in_domain"] for case in cases)
     if outside:
         details["reason"] = "out of domain: %d of %d tables outside the domain (%s)" % (

@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, pairwise
 
@@ -296,7 +295,10 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     if processes == 1:
         survived = sum(map(_run_block, jobs))
     else:
+        # imported here, since `multiprocessing` slows every import of the package;
         # `pool.map` submits every job it is given at once
+        from concurrent.futures import ProcessPoolExecutor
+
         survived = 0
         with ProcessPoolExecutor(max_workers=processes) as pool:
             while window := list(islice(jobs, 4 * processes)):

@@ -43,6 +43,15 @@ def _admit_traces(n_sites: int, r_max: int, bytes_per_power: int):
     _charge(r_max * bytes_per_power, "r_max=%d" % r_max)
 
 
+def _finite_traces(traces: np.ndarray) -> np.ndarray:
+    """`traces`, tr(Q^r) for r = 1, 2, ..., refused with FloatingPointError
+    from the first r whose trace is not finite: its powers overflow float64."""
+    bad = ~np.isfinite(traces)
+    if bad.any():
+        raise FloatingPointError("tr(Q^r) overflows float64 from r=%d" % (bad.argmax() + 1))
+    return traces
+
+
 def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
                   with_norms: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """tr(Q^r) for r = 1..r_max, and ||Q^r||_1 if `with_norms`, by sweeping
@@ -59,7 +68,8 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
     state beyond the sweep's scratch; the table and Q_3 are built once for
     every power.  A table with zero imaginary part keeps real columns,
     since their imaginary part stays zero.  A batch holds
-    `_TRACE_BATCH_BYTES` of columns.  Sizes are admitted by `_admit_traces`.
+    `_TRACE_BATCH_BYTES` of columns.  Sizes are admitted by `_admit_traces`,
+    and traces that are not finite are refused by `_finite_traces`.
     """
     _admit_traces(n_sites, r_max, 24 if with_norms else 16)
     dim = 1 << n_sites
@@ -82,7 +92,7 @@ def _trace_sweeps(local: LocalOperator, n_sites: int, r_max: int,
             traces[r] += states.take(diag).sum()
             if with_norms:
                 norms[r] = max(norms[r], np.abs(states.reshape(half, 2, -1)).sum(axis=0).max())
-    return traces, norms
+    return _finite_traces(traces), norms
 
 
 def _swept_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
@@ -142,7 +152,8 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     products, which grow as 8^n, take longer than the sweep, whose time
     grows as 4^n, and hold far more.  Admitted by `_admit_traces` with the
     r_max-long arrays of the derived halves (the half tables' powers and
-    each level's traces) at 256 bytes a power."""
+    each level's traces) at 256 bytes a power; traces that are not finite
+    are refused by `_finite_traces` on either route."""
     _admit_traces(n_sites, r_max, 256)
     dtype = _sweep_table(local.matrix).dtype
     steps = sum(_baby_giant(r_max))
@@ -151,10 +162,10 @@ def _power_traces(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:
     if routes is None:
         return _trace_sweeps(local, n_sites, r_max, with_norms=False)[0]
     spare = np.empty(steps * dim * dim if any(blocks for _, blocks in routes) else 0, dtype=dtype)
-    return _recurse_halves(
+    return _finite_traces(_recurse_halves(
         routes, n_sites, np.ones(r_max, dtype=complex),
-        lambda d: np.trace(_powers(d, np.empty((r_max, *d.shape), dtype=d.dtype)), axis1=1, axis2=2),
-        lambda block: _block_traces(block, r_max, spare), np.multiply, sum)
+        lambda d: np.trace(_powers(d, np.empty((r_max, *d.shape), d.dtype)), axis1=1, axis2=2),
+        lambda block: _block_traces(block, r_max, spare), np.multiply, sum))
 
 
 def power_trace_coefficients(local: LocalOperator, n_sites: int, r_max: int) -> np.ndarray:

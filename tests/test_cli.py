@@ -93,6 +93,16 @@ def test_zeta_eval_json(tmp_path):
     assert blob["truncation_bound"] is not None
 
 
+def test_zeta_u_pair_form(tmp_path):
+    # --u "x,y" is the point x+yj, with the same bytes out
+    outs = [tmp_path / "pair.json", tmp_path / "complex.json"]
+    for u, out in zip(("0.25,0.1", "0.25+0.1j"), outs):
+        assert run(["zeta", "--model", "dk", "--p", "0.5", "--q", "0.75", "--n", "3",
+                    "--u", u, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["u"] == [0.25, 0.1]
+
+
 def test_output_bytes_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["dk", "survive", "--p", "0.6", "--q", "0.8", "--horizon", "40",
@@ -287,11 +297,23 @@ def test_param_error_exit_code(capsys):
     # a scan range with an infinite end
     (["dk", "scan", "--q", "1", "--p-from", "0.4", "--p-to", "inf", "--p-step", "0.1"], None),
     (["dk", "scan", "--q", "1", "--p-from=-inf", "--p-to", "0.7"], None),
+    # a table of other than 16 entries
+    (["op", "build", "--model", "custom", "--file", "{file}"],
+     '{"n": 3, "local": {"a_kl_ij": [[1, 0]' + ', [0, 0]' * 14 + ']}}'),
+    # a model without its parameters, a scan without a grid
+    (["spectrum", "--model", "dk", "--q", "0.5", "--n", "3"], None),
+    (["spectrum", "--model", "qca", "--n", "3"], None),
+    (["spectrum", "--model", "custom", "--n", "3"], None),
+    (["dk", "scan", "--q", "1"], None),
+    # block sums compare Q_n with Q_(n-1)
+    (["verify", "block-sums", "--model", "dk", "--p", "0.5", "--q", "0.5", "--n", "1"], None),
 ], ids=["p-step-0", "file-missing", "file-no-local", "file-bad-table", "n-negative",
         "out-dir-missing", "xi-nan", "xi-inf", "file-nan-entry", "u-nan",
         "file-n-float", "file-n-bool", "file-n-string", "seed-negative", "seed-2-64",
         "tol-nan", "tol-negative", "survive-threads-0", "survive-threads-negative",
-        "scan-threads-0", "scan-threads-negative", "p-to-inf", "p-from-minus-inf"])
+        "scan-threads-0", "scan-threads-negative", "p-to-inf", "p-from-minus-inf",
+        "file-15-entries", "dk-without-p", "qca-without-xi", "custom-without-file",
+        "scan-without-grid", "block-sums-n-1"])
 def test_bad_outside_input_exits_2(argv, file_text, tmp_path, capsys):
     # inputs from outside the program are usage or parameter errors, never tracebacks
     path = tmp_path / "op.json"

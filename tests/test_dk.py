@@ -82,6 +82,12 @@ def test_rho_closed_form():
     assert rho_q1_closed(1.0) == 1.0
 
 
+def test_rho_closed_form_refuses_p_outside():
+    for p in (-0.1, 1.5):
+        with pytest.raises(ParamOutOfRange, match="outside"):
+            rho_q1_closed(p)
+
+
 def test_lattice_state_normalizes():
     s = LatticeState.from_iterable([3, 1, 3, -2], time=0)
     assert s.occupied == (-2, 1, 3)
@@ -245,7 +251,12 @@ def test_scan_grid_validation():
     lambda: estimate_survival(DKParams(0.5, 0.5), (0,), 5, 3, workers=-1),
     lambda: scan_critical(1.0, [0.1, 0.2], 5, 3, workers=0),
     lambda: scan_critical(1.0, [0.1, 0.2, 5.0], 5, 3),
-], ids=["survive-workers-0", "survive-workers-negative", "scan-workers-0", "scan-p-above-1"])
+    lambda: estimate_survival(DKParams(0.5, 0.5), (0,), 0, 3),
+    lambda: estimate_survival(DKParams(0.5, 0.5), (0,), 5, 0),
+    lambda: scan_critical(1.0, [0.1, 0.2], 5, 3, threshold=0.0),
+    lambda: scan_critical(1.0, [0.1, 0.2], 5, 3, threshold=1.0),
+], ids=["survive-workers-0", "survive-workers-negative", "scan-workers-0", "scan-p-above-1",
+        "survive-horizon-0", "survive-trials-0", "scan-threshold-0", "scan-threshold-1"])
 def test_refusals_come_before_any_trial(call, monkeypatch):
     # worker counts below one and grid points outside [0, 1] are refused
     # before the first block of trials runs, not after some points ran
@@ -410,7 +421,7 @@ class _RecordingPool:
 def test_survival_blocks_are_the_jobs(case, workers, pool_and_jobs, monkeypatch):
     pq, seeds, horizon, trials, base_seed, survived = GOLDEN_COUNTS[case]
     log = []
-    monkeypatch.setattr(dk, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(log, max_workers))
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     est = estimate_survival(DKParams(*pq), seeds, horizon, trials,
@@ -425,7 +436,7 @@ def test_survival_pool_maps_windows(monkeypatch):
     # on 3 CPUs take one window of 10, and on 1 CPU (or an unknown count)
     # start no pool
     log = []
-    monkeypatch.setattr(dk, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(log, max_workers))
     for cpus, workers, pool_and_jobs in ((8, 2, [2, 8, 2]), (3, 7000, [3, 10]),
                                          (1, 7000, []), (None, 7000, [])):

@@ -82,6 +82,25 @@ def test_config_index_msb_first():
             assert config_index(config_bits(idx, n)) == idx
 
 
+def test_flat_table_is_the_square_one():
+    table = dk_local_operator(DKParams(0.3, 0.8)).matrix
+    assert np.array_equal(make_local_operator(table.ravel()).matrix, table)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: make_local_operator(np.zeros((2, 8))), "4x4"),
+    (lambda: make_local_operator(np.zeros(15)), "4x4"),
+    (lambda: config_index((0, 2, 1)), "bits must be 0 or 1"),
+    (lambda: config_bits(8, 3), "out of range"),
+    (lambda: config_bits(-1, 3), "out of range"),
+    (lambda: random_local_operator("bogus", np.random.default_rng(0)), "unknown random family"),
+], ids=["table-2x8", "table-15", "bit-2", "index-8-of-3-sites", "index-negative",
+        "unknown-family"])
+def test_bad_tables_and_configurations_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_all_allowed_slots_accepted():
     allowed = np.array([[(r % 2) == (c % 2) for c in range(4)] for r in range(4)],
                        dtype=float)

@@ -131,3 +131,8 @@ def test_writer_bytes_at_edge_values():
         '{\n  "f": 0.1,\n  "i": 7,\n  "c": [\n    1.0,\n    -2.0\n  ],\n  "a": [\n    [\n'
         '      1.0,\n      2.0\n    ],\n    [\n      -0.0,\n      0.0\n    ]\n  ],\n'
         '  "none": null,\n  "nan": NaN,\n  "t": [\n    2.5,\n    3\n  ]\n}\n')
+
+
+def test_unserialisable_value_refused():
+    with pytest.raises(TypeError, match="type set is not JSON serializable"):
+        dump_json({"s": {1}})

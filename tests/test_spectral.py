@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ipszeta.claims import verify_claim
+from ipszeta.claims import CLAIMS, Claim, verify_claim
 from ipszeta.cli import main
 from ipszeta.dk import DKParams, dk_local_operator, dk_reference_spectrum_n3
 from ipszeta import spectral, zeta
@@ -60,6 +60,11 @@ def test_multiset_total_must_match_dim():
                          multiplicities=np.array([3]), source_dim=2)
 
 
+def test_multiset_arrays_must_match():
+    with pytest.raises(ParamOutOfRange, match="matching"):
+        SpectrumMultiset(values=np.array([1.0, 2.0]), multiplicities=np.array([2]), source_dim=2)
+
+
 def test_moment_matches_direct_sum():
     spec = mk([(0.5 + 0.5j, 2), (-1.0, 1), (0.25, 1)])
     direct = sum(m * v**3 for v, m in zip(spec.values, spec.multiplicities))
@@ -85,6 +90,15 @@ def test_eig_dense_residual_and_caps(rng):
     for shape in ((0, 0), (3, 2), (4,)):
         with pytest.raises(ValueError):
             eig_dense(np.zeros(shape))
+
+
+def test_solver_failure_is_no_convergence(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    with pytest.raises(NoConvergence, match="dense eigensolver failed: Eigenvalues did not"):
+        eig_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_eig_cap_refuses_before_dense_build(capsys):
@@ -280,6 +294,40 @@ def test_verification_report_fields(rng):
     assert rep.details["cases"] == [{"residual": rep.worst_residual, "in_domain": True}]
     with pytest.raises(ParamOutOfRange):
         verify_claim("spectral-recursion", [], 2)
+
+
+@pytest.mark.parametrize("claim", ["build-recursion", "block-sums", "trace-formulas"])
+def test_non_finite_residual_fails_in_either_order(claim):
+    # the GENERAL table scaled by 1e150 overflows at n = 8: its NaN residual
+    # fails the claim wherever it comes, where Python's max would skip it
+    # after a finite one.  The paired sweep behind trace-formulas refuses
+    # its overflowing trace instead, in either order
+    table = random_local_operator("general", np.random.default_rng(0))
+    tables = [table, make_local_operator(table.matrix * 1e150)]
+    outcomes = []
+    for order in (tables, tables[::-1]):
+        with np.errstate(all="ignore"):
+            try:
+                rep = verify_claim(claim, order, 8)
+            except FloatingPointError as exc:
+                outcomes.append(str(exc))
+                continue
+        assert rep.passed is False and math.isnan(rep.worst_residual)
+        assert sum(math.isnan(case["residual"]) for case in rep.details["cases"]) == 1
+        outcomes.append("failed")
+    assert outcomes[0] == outcomes[1]
+
+
+def test_non_finite_side_measure_is_kept(monkeypatch):
+    # a side measure's maximum over the tables is NaN if any table's is
+    table = dk_local_operator(DKParams(0.5, 0.75))
+    for measures in ([1.0, math.nan], [math.nan, 1.0]):
+        values = iter(measures)
+        monkeypatch.setitem(CLAIMS, "build-recursion", Claim(
+            "every table", lambda local: True,
+            lambda local, n, r: (0.0, {"distance": next(values)}), 1e-12))
+        rep = verify_claim("build-recursion", [table, table], 2)
+        assert rep.passed is True and math.isnan(rep.details["distance"])
 
 
 # --- the real solve and the one-pass bookkeeping ----------------------------

@@ -70,6 +70,38 @@ def test_trace_cap():
             c_r(loc, 3, r)
 
 
+def test_orders_below_one_refused():
+    for r in (0, -1):
+        with pytest.raises(ParamOutOfRange, match="need r >= 1, got r=%d" % r):
+            t_case_c_r(0.5, 3, r)
+        with pytest.raises(ParamOutOfRange, match="need r_max >= 1"):
+            power_trace_coefficients(dk_local_operator(DKParams(0.4, 0.7)), 3, r)
+
+
+@pytest.mark.parametrize("loc, n, r_max, first", [
+    (large_stochastic(), 5, 30, 23),
+    (large_stochastic(), 3, 100, 47),
+    (make_local_operator(dk_entries(0.5, 1) * 1e20), 3, 10, 8),
+], ids=["sweep", "blocks", "derived"])
+def test_overflowing_traces_are_refused(loc, n, r_max, first):
+    # traces that overflow float64 are refused on every route of
+    # `power_trace_coefficients` (the paired sweep, certified blocks, derived
+    # halves) and in the log series, naming the first power that overflows,
+    # not returned as inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (power_trace_coefficients, zeta_log_series):
+            with pytest.raises(FloatingPointError, match="overflows float64 from r=%d$" % first):
+                call(loc, n, r_max)
+
+
+def test_large_traces_below_overflow_are_kept():
+    # the 1e4 table at n = 4 takes the paired sweep and stays finite, its
+    # largest coefficient near 1.5e296
+    got = power_trace_coefficients(large_stochastic(), 4, 30)
+    assert np.isfinite(got).all() and 1e296 < np.abs(got).max() < 1e297
+    assert np.array_equal(got, zeta_log_series(large_stochastic(), 4, 30).coefficients)
+
+
 @pytest.mark.parametrize("call", [
     lambda n: trace_path_sum(dk_local_operator(DKParams(0.4, 0.7)), n),
     lambda n: trace_closed_form(dk_local_operator(DKParams(0.4, 0.7)), n),

@@ -17,19 +17,24 @@ either checkout.  Both compute the same outputs on the same tables:
   [0.1, 0.3+0.2i];
 - at n = 1..min(N, 12): the trace outputs `power_trace_coefficients` at
   r_max 1, 5 and 30 and `zeta_log_series` at r_max 30 (coefficients and
-  radius hint).  Beyond n = 12 the paired sweep takes seconds a table.
+  radius hint).  Beyond n = 12 the paired sweep takes seconds a table;
+- every `ipszeta` line of this checkout's README CLI block, run as
+  `python -B -m ipszeta.cli` with each tree's `src` in a fresh temporary
+  directory: its exit code, its stdout and the bytes of every file it
+  writes.
 
 A refused or failed call records its exception's type and text as its
 output.  Outputs are compared with `np.array_equal(..., equal_nan=True)` and
-equal dtypes.  Prints one JSON line: the counts of outputs, of equal ones
-and of differing ones, and the differing keys.  Exits 0 when every output
-is equal, 1 otherwise.
+equal dtypes, and command outputs byte for byte.  Prints one JSON line: the
+counts of outputs, of equal ones and of differing ones, and the differing
+keys.  Exits 0 when every output is equal, 1 otherwise.
 """
 
 import argparse
 import json
 import os
 import pickle
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -99,22 +104,46 @@ def _outputs(max_n: int) -> dict:
 
 
 def _equal(a, b) -> bool:
-    """Outputs of one type, tuples equal item by item, refusals in the same
-    text, arrays of one dtype equal by `np.array_equal(..., equal_nan=True)`."""
+    """Outputs of one type, tuples equal item by item, refusals and bytes
+    equal, arrays of one dtype equal by `np.array_equal(..., equal_nan=True)`."""
     if type(a) is not type(b):
         return False
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, str):
+    if isinstance(a, (str, bytes)):
         return a == b
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
+_ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def _readme_commands() -> list:
+    """The `ipszeta` lines of the README's CLI block, in order."""
+    block = (HERE / "README.md").read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("ipszeta ")]
+
+
+def _command_outputs(tree: Path) -> dict:
+    """Each README command's exit code, stdout and written files in `tree`."""
+    out = {}
+    for line in _readme_commands():
+        with tempfile.TemporaryDirectory() as cwd:
+            proc = subprocess.run([sys.executable, "-B", "-m", "ipszeta.cli",
+                                   *shlex.split(line)[1:]], cwd=cwd, stdout=subprocess.PIPE,
+                                  stderr=subprocess.DEVNULL,
+                                  env=dict(_ENV, PYTHONPATH=str(tree / "src")))
+            files = sorted(p for p in Path(cwd).rglob("*") if p.is_file())
+            out["cli/" + line] = ("exit %d" % proc.returncode, proc.stdout,
+                                  *((str(p.relative_to(cwd)), p.read_bytes()) for p in files))
+    return out
+
+
 def _run(tree: Path, max_n: int, cwd: str) -> subprocess.Popen:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.Popen([sys.executable, "-B", str(Path(__file__).resolve()), "--worker",
                              str(tree / "src"), "--max-n", str(max_n)],
-                            cwd=cwd, env=env, stdout=subprocess.PIPE)
+                            cwd=cwd, env=_ENV, stdout=subprocess.PIPE)
 
 
 def main(argv=None) -> int:
@@ -130,13 +159,14 @@ def main(argv=None) -> int:
         return 0
     if args.against is None:
         ap.error("--against DIR is required")
+    trees = (HERE, args.against.resolve())
     with tempfile.TemporaryDirectory() as cwd:
-        procs = [_run(tree, args.max_n, cwd) for tree in (HERE, args.against.resolve())]
+        procs = [_run(tree, args.max_n, cwd) for tree in trees]
         raw = [proc.communicate()[0] for proc in procs]
     if any(proc.returncode for proc in procs):
         print(json.dumps({"error": "a worker exited %s" % [p.returncode for p in procs]}))
         return 2
-    here, there = map(pickle.loads, raw)
+    here, there = ({**pickle.loads(r), **_command_outputs(tree)} for r, tree in zip(raw, trees))
     differ = sorted(k for k in here.keys() & there.keys() if not _equal(here[k], there[k]))
     unmatched = sorted(here.keys() ^ there.keys())
     print(json.dumps({"outputs": len(here.keys() | there.keys()),
