@@ -295,10 +295,10 @@ def estimate_survival(params: DKParams, seed_set, horizon: int, trials: int,
     if processes == 1:
         survived = sum(map(_run_block, jobs))
     else:
-        # imported here, since `multiprocessing` slows every import of the package;
-        # `pool.map` submits every job it is given at once
+        # imported here: `multiprocessing` would slow every import of the package
         from concurrent.futures import ProcessPoolExecutor
 
+        # `pool.map` submits every job it is given at once
         survived = 0
         with ProcessPoolExecutor(max_workers=processes) as pool:
             while window := list(islice(jobs, 4 * processes)):
